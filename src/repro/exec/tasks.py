@@ -88,7 +88,9 @@ def run_fit_score_task(task: FitScoreTask) -> FitScoreResult:
     """Fit a clone of the task's template and score it on the test slice.
 
     Failures never propagate: a broken pipeline yields ``score=-inf`` with
-    the exception recorded, mirroring T-Daub's keep-going semantics.
+    the exception recorded, mirroring T-Daub's keep-going semantics.  A
+    non-finite score (say a forecast that overflowed to ``inf``) is such a
+    failure too, so it can neither rank nor be persisted.
     """
     from ..core.base import clone
 
@@ -103,6 +105,8 @@ def run_fit_score_task(task: FitScoreTask) -> FitScoreResult:
             score = float(task.scorer(candidate, test))
         else:
             score = float(candidate.score(test, horizon=len(test)))
+        if not np.isfinite(score):
+            raise ValueError(f"score is not finite: {score}")
         error = ""
     except Exception as exc:  # noqa: BLE001 - failures become -inf scores
         score = float("-inf")

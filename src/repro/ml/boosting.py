@@ -13,7 +13,7 @@ import numpy as np
 from .._validation import check_consistent_length, check_positive_int
 from ..core.base import BaseRegressor, check_is_fitted
 from ..exceptions import InvalidParameterError
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, TreeArrays
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -126,26 +126,28 @@ class GradientBoostingRegressor(BaseRegressor):
                         break
 
         self.n_estimators_ = len(self.estimators_)
+        self.trees_ = TreeArrays.concat([tree.tree_ for tree in self.estimators_])
         self.n_features_in_ = X.shape[1]
         return self
 
-    def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ("estimators_",))
+    def _stages(self, X) -> np.ndarray:
+        """Prediction after each stage, shape ``(stages + 1, rows)``.
+
+        Row 0 is the initial prediction; stages are added in tree order,
+        exactly as a running ``predictions += learning_rate * tree`` would.
+        """
+        check_is_fitted(self, ("trees_",))
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
-        predictions = np.full(len(X), self.init_prediction_)
-        for tree in self.estimators_:
-            predictions += self.learning_rate * tree.predict(X)
-        return predictions
+        steps = np.empty((self.n_estimators_ + 1, len(X)))
+        steps[0] = self.init_prediction_
+        steps[1:] = self.learning_rate * self.trees_.predict(X)
+        return np.cumsum(steps, axis=0)
+
+    def predict(self, X) -> np.ndarray:
+        return self._stages(X)[-1]
 
     def staged_predict(self, X):
         """Yield predictions after each boosting stage (used in tests)."""
-        check_is_fitted(self, ("estimators_",))
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        predictions = np.full(len(X), self.init_prediction_)
-        for tree in self.estimators_:
-            predictions = predictions + self.learning_rate * tree.predict(X)
-            yield predictions.copy()
+        yield from self._stages(X)[1:]

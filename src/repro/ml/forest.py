@@ -6,7 +6,8 @@ import numpy as np
 
 from .._validation import check_consistent_length, check_positive_int
 from ..core.base import BaseRegressor, check_is_fitted
-from .tree import DecisionTreeRegressor
+from ..exceptions import InvalidParameterError
+from .tree import grow_trees, resolve_max_features
 
 __all__ = ["RandomForestRegressor"]
 
@@ -16,7 +17,9 @@ class RandomForestRegressor(BaseRegressor):
 
     Defaults are sized for the window-regression workloads in the pipeline
     inventory (hundreds to a few thousand windows with tens of features) so a
-    full T-Daub evaluation finishes in seconds rather than minutes.
+    full T-Daub evaluation finishes in seconds rather than minutes.  All
+    trees grow together (see :func:`~repro.ml.tree.grow_trees`) and predict
+    together from one :class:`~repro.ml.tree.TreeArrays`.
     """
 
     def __init__(
@@ -45,51 +48,57 @@ class RandomForestRegressor(BaseRegressor):
             X = X.reshape(-1, 1)
         check_consistent_length(X, y)
 
+        # Per-tree seeds and bootstrap draws, in the order one tree at a
+        # time would take them from the forest's generator.
         rng = np.random.default_rng(self.random_state)
         n_samples = len(y)
-        self.estimators_: list[DecisionTreeRegressor] = []
-        oob_sums = np.zeros(n_samples)
-        oob_counts = np.zeros(n_samples)
-
-        for index in range(int(self.n_estimators)):
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                random_state=int(rng.integers(0, 2**31 - 1)),
-            )
+        n_trees = int(self.n_estimators)
+        seeds = []
+        samples = []
+        for _ in range(n_trees):
+            seeds.append(int(rng.integers(0, 2**31 - 1)))
             if self.bootstrap:
-                sample_indices = rng.integers(0, n_samples, size=n_samples)
-            else:
-                sample_indices = np.arange(n_samples)
-            tree.fit(X[sample_indices], y[sample_indices])
-            self.estimators_.append(tree)
+                samples.append(rng.integers(0, n_samples, size=n_samples))
+        if n_samples == 0:
+            raise InvalidParameterError("Cannot fit a tree on empty data.")
+        rows = np.array(samples) if self.bootstrap else np.tile(np.arange(n_samples), (n_trees, 1))
 
-            if self.bootstrap:
-                out_of_bag = np.setdiff1d(
-                    np.arange(n_samples), np.unique(sample_indices), assume_unique=True
-                )
-                if len(out_of_bag):
-                    oob_sums[out_of_bag] += tree.predict(X[out_of_bag])
-                    oob_counts[out_of_bag] += 1
+        n_draw = resolve_max_features(self.max_features, X.shape[1])
+        self.trees_ = grow_trees(
+            X,
+            y,
+            rows,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            n_draw=n_draw,
+            rngs=[np.random.default_rng(seed) for seed in seeds] if n_draw < X.shape[1] else None,
+        )
 
-        covered = oob_counts > 0
-        if self.bootstrap and covered.any():
-            oob_predictions = oob_sums[covered] / oob_counts[covered]
-            residuals = y[covered] - oob_predictions
-            self.oob_mae_ = float(np.mean(np.abs(residuals)))
-        else:
-            self.oob_mae_ = float("nan")
+        self.oob_mae_ = float("nan")
+        if self.bootstrap:
+            out_of_bag = np.ones(rows.shape, dtype=bool)
+            out_of_bag[np.arange(n_trees)[:, None], rows] = False
+            covered = out_of_bag.any(axis=0)
+            if covered.any():
+                votes = np.where(out_of_bag, self.trees_.predict(X), 0.0)
+                oob_predictions = _tree_order_sum(votes)[covered] / out_of_bag.sum(axis=0)[covered]
+                self.oob_mae_ = float(np.mean(np.abs(y[covered] - oob_predictions)))
         self.n_features_in_ = X.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ("estimators_",))
+        check_is_fitted(self, ("trees_",))
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
-        predictions = np.zeros(len(X))
-        for tree in self.estimators_:
-            predictions += tree.predict(X)
-        return predictions / len(self.estimators_)
+        return _tree_order_sum(self.trees_.predict(X)) / len(self.trees_.roots)
+
+
+def _tree_order_sum(values: np.ndarray) -> np.ndarray:
+    """Column sums of ``(trees, rows)`` added one tree after another from 0.0.
+
+    Overwrites ``values``; a pairwise ``sum`` would round differently.
+    """
+    values[0] += 0.0  # 0.0 + -0.0 is 0.0, as in an accumulator started at zero
+    return np.cumsum(values, axis=0)[-1]

@@ -8,7 +8,8 @@ from repro.core.registry import PipelineRegistry
 from repro.core.tdaub import PipelineEvaluation
 from repro.exceptions import InvalidParameterError
 from repro.forecasters.holtwinters import HoltWintersForecaster
-from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
+from repro.exec.tasks import FitScoreTask, run_fit_score_task
+from repro.forecasters.naive import DriftForecaster, MeanForecaster, ZeroModelForecaster
 from repro.forecasters.theta import ThetaForecaster
 
 
@@ -165,3 +166,43 @@ class TestDaubAblation:
 
     def test_daub_param_names_exclude_direction(self):
         assert "allocation_direction" not in Daub._get_param_names()
+
+
+class _ExactThenInf(DriftForecaster):
+    """Exact on a straight line until it trains on 96 rows, then forecasts inf."""
+
+    def fit(self, X, y=None):
+        self.n_fit_ = len(X)
+        return super().fit(X, y)
+
+    def predict(self, horizon=None):
+        forecast = super().predict(horizon)
+        return np.full_like(forecast, np.inf) if self.n_fit_ >= 96 else forecast
+
+
+class TestNonFiniteScores:
+    def test_cell_with_inf_forecast_fails_with_minus_inf(self):
+        line = np.arange(1.0, 121.0).reshape(-1, 1)
+        result = run_fit_score_task(
+            FitScoreTask(tag=0, template=_ExactThenInf(horizon=12), train=line[:96],
+                         test=line[96:108], horizon=12)
+        )
+        assert result.failed and result.score == -np.inf
+        assert "not finite" in result.error
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_inf_on_full_allocation_never_ranks_first(self, position):
+        pipelines = [DriftForecaster(horizon=12), MeanForecaster(horizon=12),
+                     ZeroModelForecaster(horizon=12)]
+        pipelines.insert(position, _ExactThenInf(horizon=12))
+        selector = TDaub(pipelines=pipelines, horizon=12, min_allocation_size=24).fit(
+            np.arange(1.0, 121.0)
+        )
+        evaluation = selector.evaluations_["_ExactThenInf"]
+        assert evaluation.allocation_sizes[:4] == [24, 48, 72, 96]
+        assert evaluation.scores[:3] == [0.0, 0.0, 0.0]
+        assert all(score == -np.inf for score in evaluation.scores[3:])
+        assert evaluation.failed and "not finite" in evaluation.failure_message
+        assert evaluation.final_score in (None, -np.inf)
+        assert selector.ranked_names_[0] == "DriftForecaster"
+        assert selector.best_pipeline_name_ == "DriftForecaster"

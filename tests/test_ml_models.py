@@ -151,6 +151,12 @@ class TestDecisionTree:
         with pytest.raises(InvalidParameterError):
             DecisionTreeRegressor().fit(np.empty((0, 2)), np.empty(0))
 
+    def test_predict_with_missing_split_feature_raises(self):
+        X = np.column_stack([np.zeros(20), np.arange(20.0)])
+        model = DecisionTreeRegressor(max_depth=2).fit(X, np.arange(20.0))
+        with pytest.raises(InvalidParameterError):
+            model.predict(X[:, :1])
+
 
 class TestRandomForest:
     def test_beats_single_tree_on_noise(self, nonlinear_problem):
