@@ -226,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
 
         record = {
             "benchmark": "chaos_seam_overhead_and_kill_recovery",
+            "kind": "machinery",
             "cells": cells,
             "n_workers": 2,
             "mode": "tiny" if args.tiny else "full",

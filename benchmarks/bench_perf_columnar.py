@@ -200,6 +200,7 @@ def run(tiny: bool, work_root: Path) -> dict:
     overhead = out_of_core["seconds"] / max(in_memory["seconds"], 1e-9) - 1.0
     return {
         "benchmark": "columnar",
+        "kind": "machinery",
         "mode": "tiny" if tiny else "full",
         "n_rows": n_rows,
         "n_series": _N_SERIES,

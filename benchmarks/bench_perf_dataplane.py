@@ -202,6 +202,7 @@ def run(tiny: bool) -> dict:
         remote = _remote_matrix(n_rows=1_500_000, n_pipelines=8, n_jobs=2)
     return {
         "benchmark": "dataplane",
+        "kind": "machinery",
         "mode": "tiny" if tiny else "full",
         "process_matrix": process,
         "remote_matrix": remote,

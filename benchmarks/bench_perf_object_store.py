@@ -174,6 +174,7 @@ def run(tiny: bool) -> dict:
         server.serve_in_background()
         record = {
             "benchmark": "object_store_backend",
+            "kind": "machinery",
             "mode": "tiny" if tiny else "full",
             "warm_rerun": _warm_rerun_record(server.url, tiny),
             "blob_sync": _blob_sync_record(server.url, tiny),

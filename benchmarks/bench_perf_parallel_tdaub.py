@@ -111,6 +111,7 @@ def test_parallel_tdaub_speedup():
 
     record = {
         "benchmark": "parallel_tdaub",
+        "kind": "machinery",
         "n_pipelines": len(_candidate_pipelines()),
         "n_jobs": _N_JOBS,
         "latency_seconds_per_fit": _LATENCY_SECONDS,

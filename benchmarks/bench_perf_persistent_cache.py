@@ -121,6 +121,7 @@ def test_persistent_cache_warm_rerun_speedup():
 
     record = {
         "benchmark": "persistent_cache_warm_rerun",
+        "kind": "machinery",
         "n_pipelines": len(_candidate_pipelines()),
         "latency_seconds_per_fit": _LATENCY_SECONDS,
         "cold_seconds": round(cold_seconds, 4),

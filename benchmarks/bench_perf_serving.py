@@ -236,6 +236,7 @@ def run(tiny: bool) -> dict:
             server.serve_in_background()
             record = {
                 "benchmark": "serving_micro_batch",
+                "kind": "machinery",
                 "mode": "tiny" if tiny else "full",
                 "throughput": _throughput_record(server.url, tiny),
                 "hot_swap": _hot_swap_record(server.url, tiny),

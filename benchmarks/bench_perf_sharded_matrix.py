@@ -318,6 +318,7 @@ def test_sharded_matrix_two_workers_speedup():
 
         record = {
             "benchmark": "sharded_matrix_two_workers",
+            "kind": "machinery",
             "cells": len(single.runs),
             "n_workers": 2,
             "latency_seconds_per_fit": _LATENCY_SECONDS,

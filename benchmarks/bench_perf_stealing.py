@@ -153,6 +153,7 @@ def test_stealing_two_workers_skewed_matrix():
 
         record = {
             "benchmark": "stealing_two_workers_skewed_matrix",
+            "kind": "machinery",
             "cells": len(single.runs),
             "n_workers": 2,
             "join_delay_seconds": _JOIN_DELAY_SECONDS,

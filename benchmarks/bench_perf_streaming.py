@@ -154,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "benchmark": "streaming_warm_rerank_vs_cold",
+        "kind": "machinery",
         "mode": "tiny" if args.tiny else "full",
         "n_rows": n_rows,
         "n_delta": n_delta,

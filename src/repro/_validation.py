@@ -39,6 +39,9 @@ def as_2d_array(values, name: str = "X", dtype=float, allow_nan: bool = True) ->
     — and are **materialized** here: this is the compatibility path for
     consumers that only speak 2-D arrays.  Code that can stream should
     check ``is_timeseries_frame`` itself before falling through to this.
+
+    ``allow_nan=False`` rejects any non-finite value, NaN or infinite, with
+    :class:`DataQualityError`.
     """
     if getattr(values, "is_timeseries_frame", False):
         values = values.to_array()
@@ -58,8 +61,8 @@ def as_2d_array(values, name: str = "X", dtype=float, allow_nan: bool = True) ->
         )
     if array.shape[0] == 0:
         raise DataQualityError(f"{name} is empty: at least one sample is required.")
-    if not allow_nan and np.isnan(array).any():
-        raise DataQualityError(f"{name} contains NaN values.")
+    if not allow_nan and not np.isfinite(array).all():
+        raise DataQualityError(f"{name} contains NaN or infinite values.")
     return array
 
 

@@ -95,7 +95,7 @@ class BATSForecaster(BaseForecaster):
         return model
 
     def fit(self, X, y=None) -> "BATSForecaster":
-        X = as_2d_array(X)
+        X = as_2d_array(X, allow_nan=False)
         self.models_ = [self._fit_single(X[:, j]) for j in range(X.shape[1])]
         self.n_series_ = X.shape[1]
         return self

@@ -5,9 +5,19 @@ stand-alone pipeline candidates.  Smoothing parameters are optimised by
 minimising the in-sample one-step-ahead squared error with scipy's bounded
 optimiser, mirroring the state-space methodology referenced in the paper
 (Hyndman et al., "Forecasting with exponential smoothing").
+
+The recursions run on Python floats from ``ndarray.tolist()`` under the
+exactness rules of :mod:`repro.forecasters.holtwinters`: the same IEEE
+operations on the same operands as the ``np.float64`` loops they replaced
+(only ``1 - alpha`` and ``(1 - beta) * phi`` are hoisted), ``** 2`` kept
+for squared errors, an overflowing square adding ``inf``, and the
+objective returned as ``np.float64``.  The optimiser therefore sees the
+same objective values and fits the same parameters.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import optimize
@@ -18,7 +28,7 @@ from ..exceptions import DataQualityError
 
 
 def _check_update_block(X_new, n_series: int) -> np.ndarray:
-    X_new = as_2d_array(X_new, name="X_new")
+    X_new = as_2d_array(X_new, name="X_new", allow_nan=False)
     if X_new.shape[1] != n_series:
         raise DataQualityError(
             f"update block has {X_new.shape[1]} series, the fitted model has "
@@ -29,28 +39,51 @@ def _check_update_block(X_new, n_series: int) -> np.ndarray:
 __all__ = ["SimpleExponentialSmoothing", "DoubleExponentialSmoothing"]
 
 
-def _ses_sse(alpha: float, series: np.ndarray) -> float:
-    level = series[0]
+def _ses_filter(values: list[float], alpha: float) -> tuple[float, float]:
+    """Level recursion over ``values`` (Python floats); return (sse, level)."""
+    alpha = float(alpha)
+    keep_alpha = 1 - alpha
+    level = values[0]
     sse = 0.0
-    for value in series[1:]:
-        sse += (value - level) ** 2
-        level = alpha * value + (1 - alpha) * level
-    return sse
+    for value in values[1:]:
+        try:
+            sse += (value - level) ** 2
+        except OverflowError:
+            sse += math.inf
+        level = alpha * value + keep_alpha * level
+    return sse, level
 
 
-def _holt_sse(params: np.ndarray, series: np.ndarray, damped: bool) -> float:
-    alpha, beta = params[0], params[1]
-    phi = params[2] if damped else 1.0
-    level = series[0]
-    trend = series[1] - series[0] if len(series) > 1 else 0.0
+def _ses_sse(alpha: float, values: list[float]) -> np.float64:
+    return np.float64(_ses_filter(values, alpha)[0])
+
+
+def _holt_filter(
+    values: list[float], alpha: float, beta: float, phi: float
+) -> tuple[float, float, float]:
+    """Holt's level/trend recursion over ``values`` (Python floats); return
+    (sse, level, trend)."""
+    alpha, beta, phi = float(alpha), float(beta), float(phi)
+    keep_alpha = 1 - alpha
+    keep_trend = (1 - beta) * phi
+    level = values[0]
+    trend = values[1] - values[0] if len(values) > 1 else 0.0
     sse = 0.0
-    for value in series[1:]:
+    for value in values[1:]:
         forecast = level + phi * trend
-        sse += (value - forecast) ** 2
-        new_level = alpha * value + (1 - alpha) * forecast
-        trend = beta * (new_level - level) + (1 - beta) * phi * trend
+        try:
+            sse += (value - forecast) ** 2
+        except OverflowError:
+            sse += math.inf
+        new_level = alpha * value + keep_alpha * forecast
+        trend = beta * (new_level - level) + keep_trend * trend
         level = new_level
-    return sse
+    return sse, level, trend
+
+
+def _holt_sse(params: np.ndarray, values: list[float], damped: bool) -> np.float64:
+    phi = params[2] if damped else 1.0
+    return np.float64(_holt_filter(values, params[0], params[1], phi)[0])
 
 
 class SimpleExponentialSmoothing(BaseForecaster):
@@ -63,22 +96,21 @@ class SimpleExponentialSmoothing(BaseForecaster):
         self.horizon = horizon
 
     def _fit_single(self, series: np.ndarray) -> tuple[float, float]:
+        values = series.tolist()
         if self.alpha is not None:
             alpha = float(np.clip(self.alpha, 1e-4, 1.0))
         elif len(series) < 3 or np.ptp(series) == 0:
             alpha = 0.5
         else:
             result = optimize.minimize_scalar(
-                _ses_sse, bounds=(1e-4, 1.0), args=(series,), method="bounded"
+                _ses_sse, bounds=(1e-4, 1.0), args=(values,), method="bounded"
             )
             alpha = float(result.x)
-        level = series[0]
-        for value in series[1:]:
-            level = alpha * value + (1 - alpha) * level
+        _, level = _ses_filter(values, alpha)
         return alpha, float(level)
 
     def fit(self, X, y=None) -> "SimpleExponentialSmoothing":
-        X = as_2d_array(X)
+        X = as_2d_array(X, allow_nan=False)
         fitted = [self._fit_single(X[:, j]) for j in range(X.shape[1])]
         self.alphas_ = np.array([item[0] for item in fitted])
         self.levels_ = np.array([item[1] for item in fitted])
@@ -128,6 +160,7 @@ class DoubleExponentialSmoothing(BaseForecaster):
         self.horizon = horizon
 
     def _fit_single(self, series: np.ndarray) -> tuple[float, float, float, float, float]:
+        values = series.tolist()
         if len(series) < 4 or np.ptp(series) == 0:
             alpha, beta, phi = 0.5, 0.1, 0.98 if self.damped else 1.0
         elif self.alpha is not None and self.beta is not None:
@@ -144,24 +177,18 @@ class DoubleExponentialSmoothing(BaseForecaster):
             result = optimize.minimize(
                 _holt_sse,
                 initial,
-                args=(series, self.damped),
+                args=(values, self.damped),
                 bounds=bounds,
                 method="L-BFGS-B",
             )
             alpha, beta = float(result.x[0]), float(result.x[1])
             phi = float(result.x[2]) if self.damped else 1.0
 
-        level = series[0]
-        trend = series[1] - series[0] if len(series) > 1 else 0.0
-        for value in series[1:]:
-            forecast = level + phi * trend
-            new_level = alpha * value + (1 - alpha) * forecast
-            trend = beta * (new_level - level) + (1 - beta) * phi * trend
-            level = new_level
+        _, level, trend = _holt_filter(values, alpha, beta, phi)
         return alpha, beta, phi, float(level), float(trend)
 
     def fit(self, X, y=None) -> "DoubleExponentialSmoothing":
-        X = as_2d_array(X)
+        X = as_2d_array(X, allow_nan=False)
         fitted = [self._fit_single(X[:, j]) for j in range(X.shape[1])]
         self.alphas_ = np.array([item[0] for item in fitted])
         self.betas_ = np.array([item[1] for item in fitted])

@@ -5,9 +5,32 @@ Two of the ten AutoAI-TS pipelines are ``HW_Additive`` and
 automatically from the data when not supplied, and the three smoothing
 parameters are optimised by minimising the in-sample one-step-ahead squared
 error.
+
+The smoothing recursion is the fit's hot loop: L-BFGS-B evaluates it a few
+hundred times per fit.  It runs on Python floats from ``ndarray.tolist()``,
+several times faster than ``np.float64`` scalars, and keeps every output bit
+of the numpy-scalar recursion, so the optimiser sees the same objective
+values, takes the same path and fits the same parameters:
+
+- The initial state does not depend on the smoothing parameters, so it is
+  computed once per fit, outside the objective.
+- Each step evaluates the same IEEE operations on the same operands.  Only
+  ``1 - alpha``, ``1 - beta`` and ``1 - gamma`` are hoisted, and
+  ``level + trend`` is computed once per step; ``(level + trend) + season``
+  is the original evaluation order.
+- Squared errors keep ``** 2``: C ``pow`` does not round ``x ** 2`` like
+  ``x * x`` for every double.
+- Python's ``** 2`` raises ``OverflowError`` where ``np.float64`` returns
+  ``inf`` (errors above about 1.34e154), so an overflowing square adds
+  ``inf`` to the sum.
+- The sum, level and trend are returned as ``np.float64``, as numpy
+  arithmetic produced them, so pickled models (and the serving layer's
+  snapshot digests) keep their bytes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import optimize
@@ -41,33 +64,23 @@ def _initial_state(series: np.ndarray, period: int, seasonal: str):
         level = float(series[0])
         trend = float((series[-1] - series[0]) / max(len(series) - 1, 1))
 
-    seasonals = np.zeros(period)
-    usable_seasons = max(min(n_seasons, 2), 1)
-    for offset in range(period):
-        values = series[offset::period][:usable_seasons]
-        season_mean = float(np.mean(values)) if len(values) else level
-        if seasonal == "additive":
-            seasonals[offset] = season_mean - level
-        else:
-            seasonals[offset] = season_mean / level if level != 0 else 1.0
+    # Mean of each offset over the first one or two seasons; offsets a
+    # series shorter than one season never reaches take ``level``.
+    seasons = max(min(n_seasons, 2), 1)
+    covered = min(len(series), period)
+    season_means = np.full(period, level)
+    season_means[:covered] = series[: seasons * covered].reshape(seasons, covered).mean(axis=0)
+    if seasonal == "additive":
+        seasonals = season_means - level
+    elif level != 0:
+        seasonals = season_means / level
+    else:
+        seasonals = np.ones(period)
     return level, trend, seasonals
 
 
-def _run_filter(
-    series: np.ndarray,
-    period: int,
-    seasonal: str,
-    alpha: float,
-    beta: float,
-    gamma: float,
-):
-    """Run the smoothing recursions; return (sse, level, trend, seasonals)."""
-    level, trend, seasonals = _initial_state(series, period, seasonal)
-    return _advance_filter(series, period, seasonal, alpha, beta, gamma, level, trend, seasonals)
-
-
 def _advance_filter(
-    series: np.ndarray,
+    values: list[float],
     period: int,
     seasonal: str,
     alpha: float,
@@ -78,32 +91,45 @@ def _advance_filter(
     seasonals: np.ndarray,
     t0: int = 0,
 ):
-    """Advance the recursion over ``series`` from state at time ``t0``."""
-    seasonals = seasonals.copy()
-    sse = 0.0
-    for t, value in enumerate(series, start=t0):
-        season_index = t % period
-        if seasonal == "additive":
-            forecast = level + trend + seasonals[season_index]
-        else:
-            forecast = (level + trend) * seasonals[season_index]
-        sse += (value - forecast) ** 2
+    """Advance the recursion over ``values`` from state at time ``t0``.
 
-        previous_level = level
-        if seasonal == "additive":
-            level = alpha * (value - seasonals[season_index]) + (1 - alpha) * (level + trend)
-            seasonals[season_index] = gamma * (value - level) + (1 - gamma) * seasonals[
-                season_index
-            ]
-        else:
-            divisor = seasonals[season_index] if seasonals[season_index] != 0 else 1e-10
-            level = alpha * (value / divisor) + (1 - alpha) * (level + trend)
+    ``values`` holds the observations as Python floats
+    (``ndarray.tolist()``).  Returns ``(sse, level, trend, seasonals)``.
+    """
+    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    level, trend = float(level), float(trend)
+    keep_alpha, keep_beta, keep_gamma = 1 - alpha, 1 - beta, 1 - gamma
+    season = seasonals.tolist()
+    sse = 0.0
+    if seasonal == "additive":
+        for t, value in enumerate(values, start=t0):
+            index = t % period
+            current = season[index]
+            base = level + trend
+            try:
+                sse += (value - (base + current)) ** 2
+            except OverflowError:
+                sse += math.inf
+            previous_level = level
+            level = alpha * (value - current) + keep_alpha * base
+            season[index] = gamma * (value - level) + keep_gamma * current
+            trend = beta * (level - previous_level) + keep_beta * trend
+    else:
+        for t, value in enumerate(values, start=t0):
+            index = t % period
+            current = season[index]
+            base = level + trend
+            try:
+                sse += (value - base * current) ** 2
+            except OverflowError:
+                sse += math.inf
+            previous_level = level
+            divisor = current if current != 0 else 1e-10
+            level = alpha * (value / divisor) + keep_alpha * base
             level_divisor = level if level != 0 else 1e-10
-            seasonals[season_index] = gamma * (value / level_divisor) + (1 - gamma) * seasonals[
-                season_index
-            ]
-        trend = beta * (level - previous_level) + (1 - beta) * trend
-    return sse, level, trend, seasonals
+            season[index] = gamma * (value / level_divisor) + keep_gamma * current
+            trend = beta * (level - previous_level) + keep_beta * trend
+    return np.float64(sse), np.float64(level), np.float64(trend), np.array(season)
 
 
 class HoltWintersForecaster(BaseForecaster):
@@ -161,6 +187,8 @@ class HoltWintersForecaster(BaseForecaster):
         if seasonal == "multiplicative" and np.nanmin(series) <= 0:
             seasonal = "additive"
         period = self._resolve_period(series)
+        values = series.tolist()
+        state = _initial_state(series, period, seasonal)
 
         fixed = (self.alpha, self.beta, self.gamma)
         if all(value is not None for value in fixed):
@@ -169,10 +197,7 @@ class HoltWintersForecaster(BaseForecaster):
             alpha, beta, gamma = 0.5, 0.05, 0.1
         else:
             def objective(params: np.ndarray) -> float:
-                sse, _, _, _ = _run_filter(
-                    series, period, seasonal, params[0], params[1], params[2]
-                )
-                return sse
+                return _advance_filter(values, period, seasonal, *params, *state)[0]
 
             result = optimize.minimize(
                 objective,
@@ -182,7 +207,9 @@ class HoltWintersForecaster(BaseForecaster):
             )
             alpha, beta, gamma = (float(v) for v in result.x)
 
-        _, level, trend, seasonals = _run_filter(series, period, seasonal, alpha, beta, gamma)
+        _, level, trend, seasonals = _advance_filter(
+            values, period, seasonal, alpha, beta, gamma, *state
+        )
         return {
             "seasonal": seasonal,
             "period": period,
@@ -207,7 +234,7 @@ class HoltWintersForecaster(BaseForecaster):
         on the longer series — the conditions the parity test pins.
         """
         check_is_fitted(self, ("models_",))
-        X_new = as_2d_array(X_new, name="X_new")
+        X_new = as_2d_array(X_new, name="X_new", allow_nan=False)
         if X_new.shape[1] != self.n_series_:
             raise InvalidParameterError(
                 f"update block has {X_new.shape[1]} series, the fitted model "
@@ -215,7 +242,7 @@ class HoltWintersForecaster(BaseForecaster):
             )
         for j, model in enumerate(self.models_):
             _, level, trend, seasonals = _advance_filter(
-                X_new[:, j],
+                X_new[:, j].tolist(),
                 model["period"],
                 model["seasonal"],
                 model["alpha"],
@@ -237,7 +264,7 @@ class HoltWintersForecaster(BaseForecaster):
             raise InvalidParameterError(
                 f"seasonal must be one of {_SEASONAL_MODES}, got {self.seasonal!r}."
             )
-        X = as_2d_array(X)
+        X = as_2d_array(X, allow_nan=False)
         self.models_ = [self._fit_single(X[:, j]) for j in range(X.shape[1])]
         self.effective_seasonal_ = [model["seasonal"] for model in self.models_]
         self.n_series_ = X.shape[1]

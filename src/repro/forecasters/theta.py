@@ -29,7 +29,7 @@ class ThetaForecaster(BaseForecaster):
         self.alpha = alpha
 
     def fit(self, X, y=None) -> "ThetaForecaster":
-        X = as_2d_array(X)
+        X = as_2d_array(X, allow_nan=False)
         self.n_series_ = X.shape[1]
         self._ses = SimpleExponentialSmoothing(alpha=self.alpha, horizon=self.horizon).fit(X)
 
@@ -65,7 +65,7 @@ class ThetaForecaster(BaseForecaster):
         :meth:`SimpleExponentialSmoothing.update`).
         """
         check_is_fitted(self, ("slopes_",))
-        X_new = as_2d_array(X_new, name="X_new")
+        X_new = as_2d_array(X_new, name="X_new", allow_nan=False)
         self._ses.update(X_new)
         t_new = np.arange(self.n_obs_, self.n_obs_ + len(X_new), dtype=float)
         self._y_sum_ = self._y_sum_ + X_new.sum(axis=0)

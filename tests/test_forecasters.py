@@ -1,9 +1,11 @@
 """Tests for the statistical forecasters."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.exceptions import DataQualityError, InvalidParameterError, NotFittedError
 from repro.forecasters import (
     ARIMAForecaster,
     AutoARIMAForecaster,
@@ -208,3 +210,50 @@ class TestTheta:
     def test_reasonable_accuracy(self, seasonal_series):
         train, test = _split(seasonal_series)
         assert smape(test, ThetaForecaster().fit(train).predict(12).ravel()) < 25.0
+
+
+SMOOTHING_FAMILY = [
+    ("hw_additive", lambda: HoltWintersForecaster(seasonal="additive", seasonal_period=12)),
+    (
+        "hw_multiplicative",
+        lambda: HoltWintersForecaster(seasonal="multiplicative", seasonal_period=12),
+    ),
+    ("ses", SimpleExponentialSmoothing),
+    ("des", DoubleExponentialSmoothing),
+    ("des_damped", lambda: DoubleExponentialSmoothing(damped=True)),
+    ("theta", ThetaForecaster),
+    ("bats", BATSForecaster),
+]
+
+NON_FINITE_CASES = [
+    pytest.param(factory, stage, id=f"{name}-{stage}")
+    for name, factory in SMOOTHING_FAMILY
+    for stage in ("fit", "update")
+    if stage == "fit" or factory().supports_incremental_update
+]
+
+
+def _corrupt(block, kind, at):
+    bad = block.copy()
+    if kind == "nan_block":
+        bad[at : at + 6] = np.nan
+    else:
+        bad[at] = np.inf if kind == "+inf" else -np.inf
+    return bad
+
+
+class TestNonFiniteInput:
+    """NaN or inf input gives a typed error, never an all-NaN forecast."""
+
+    @pytest.mark.parametrize("kind", ["nan_block", "+inf", "-inf"])
+    @pytest.mark.parametrize("factory,stage", NON_FINITE_CASES)
+    def test_non_finite_block_raises(self, seasonal_series, factory, stage, kind):
+        if stage == "fit":
+            with pytest.raises(DataQualityError):
+                factory().fit(_corrupt(seasonal_series, kind, at=40))
+            return
+        model = factory().fit(seasonal_series[:200])
+        fitted = pickle.dumps(model)
+        with pytest.raises(DataQualityError):
+            model.update(_corrupt(seasonal_series[200:], kind, at=10))
+        assert pickle.dumps(model) == fitted
