@@ -5,7 +5,7 @@ quantified here and recorded in ``BENCH_chaos.json`` at the repository
 root:
 
 - **The seams are free when dormant.**  Every hot path that can host a
-  fault (task dispatch, store requests, blob transfers, shard claims)
+  fault (task dispatch, store requests, blob transfers, queue pulls)
   now crosses a named seam.  With no plan installed that crossing is one
   ``None`` check; with an inert plan installed it is one dictionary
   probe.  The benchmark runs the same two-worker remote matrix with no

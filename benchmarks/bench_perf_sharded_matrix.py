@@ -1,7 +1,8 @@
 """Perf benchmark: a two-worker sharded matrix vs a single-process run.
 
-The acceptance scenario for manifest-driven sharding: two shard workers on
-a 2-way split of one suite, checkpointing into one shared manifest, must
+The acceptance scenario for sharing one matrix across workers: two
+work-stealing workers draining one suite's queue, checkpointing into one
+shared manifest, must
 
 - produce a merged manifest and summary tables **identical** to a
   single-process run of the same suite (wall-clock timing fields are
@@ -12,13 +13,14 @@ a 2-way split of one suite, checkpointing into one shared manifest, must
 The toolkits model the training profile that makes sharding pay: a
 deterministic numpy estimation plus a blocking external wait, so the
 matrix cost is latency-bound and a 2-way split should approach a 2x
-speedup (the gap to the ideal 50 % is the fork/claim/lock overhead this
-benchmark exists to keep honest).
+speedup (the gap to the ideal 50 % is the fork/queue/lock overhead this
+benchmark exists to keep honest).  The matrix is uniform, the case where
+a fixed deal of cells would need no queue writes at all; the queue must
+keep up here too.
 
-Workers are real OS processes (fork), each running the plain
-``BenchmarkRunner`` worker path used by ``python -m repro.benchmarking
---worker --shard K/N``.  Results land in ``BENCH_sharded.json`` at the
-repository root.
+Workers are real OS processes (fork), each running the ``BenchmarkRunner``
+stealing path used by ``python -m repro.benchmarking --steal``.  Results
+land in ``BENCH_sharded.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -34,11 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.benchmarking import (
-    BenchmarkRunner,
-    ShardCoordinator,
-    render_detail_table,
-)
+from repro.benchmarking import BenchmarkRunner, render_detail_table
 from repro.core.base import BaseForecaster
 
 _HORIZON = 8
@@ -47,8 +45,8 @@ _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sharded.json"
 
 # -- skewed-matrix workload (shared with bench_perf_stealing) ------------------
 # One long-pole dataset under a 10-pipeline wave toolkit plus short series
-# under cheap toolkits: the matrix static round-robin dealing handles worst
-# (the long pole strands its shard) and work stealing exists to fix.
+# under cheap toolkits: a static round-robin deal strands the long pole on
+# one worker, which is what work stealing exists to fix.
 _WAVE_SECONDS = 0.08
 _WAVE_SAMPLES = 30
 _SKEW_LIGHT_LATENCY = 0.05
@@ -110,16 +108,12 @@ def _suite() -> dict[str, np.ndarray]:
     }
 
 
-def _run_shard_worker(manifest_path: str, shard_index: int, n_shards: int) -> None:
-    """One worker process: the exact path `--worker --shard K/N` takes."""
-    datasets, toolkits = _suite(), _toolkits()
-    coordinator = ShardCoordinator(datasets, toolkits, n_shards)
+def _run_queue_worker(manifest_path: str, worker: str) -> None:
+    """One worker process: the exact path ``--steal`` takes."""
     runner = BenchmarkRunner(
-        horizon=_HORIZON,
-        manifest_path=manifest_path,
-        worker_id=f"shard-{shard_index + 1}/{n_shards}",
+        horizon=_HORIZON, manifest_path=manifest_path, worker_id=worker, steal=True
     )
-    runner.run(datasets, toolkits, cells=coordinator.cells(shard_index))
+    runner.run(_suite(), _toolkits())
 
 
 class SplittableWaveToolkit(BaseForecaster):
@@ -245,25 +239,6 @@ def skewed_toolkits(record_root: str) -> dict:
     return toolkits
 
 
-def run_static_skewed_worker(
-    manifest_path: str, shard_index: int, n_shards: int, record_root: str
-) -> None:
-    """Static-dealing baseline worker on the skewed matrix.
-
-    The round-robin deal sends every fourth cell to each shard, and with
-    four toolkit columns that lands *all* heavy wave cells on shard 1 —
-    the skew pathology `bench_perf_stealing` measures stealing against.
-    """
-    datasets, toolkits = skewed_suite(), skewed_toolkits(record_root)
-    coordinator = ShardCoordinator(datasets, toolkits, n_shards)
-    runner = BenchmarkRunner(
-        horizon=_HORIZON,
-        manifest_path=manifest_path,
-        worker_id=f"static-{shard_index + 1}/{n_shards}",
-    )
-    runner.run(datasets, toolkits, cells=coordinator.cells(shard_index))
-
-
 def _normalized_manifest(path: str | Path) -> dict:
     record = json.loads(Path(path).read_text(encoding="utf-8"))
     for cell in record.get("cells", []):
@@ -293,7 +268,7 @@ def test_sharded_matrix_two_workers_speedup():
         sharded_manifest = workdir / "sharded.json"
         ctx = multiprocessing.get_context("fork")
         workers = [
-            ctx.Process(target=_run_shard_worker, args=(str(sharded_manifest), index, 2))
+            ctx.Process(target=_run_queue_worker, args=(str(sharded_manifest), f"w{index}"))
             for index in range(2)
         ]
         start = time.perf_counter()
@@ -334,7 +309,7 @@ def test_sharded_matrix_two_workers_speedup():
         print()
         print("Sharded benchmark matrix: 2 workers vs single process (16 cells)")
         print(f"  single process : {single_seconds:6.2f}s")
-        print(f"  2 shard workers: {sharded_seconds:6.2f}s  ({ratio:4.0%} of single)")
+        print(f"  2 queue workers: {sharded_seconds:6.2f}s  ({ratio:4.0%} of single)")
         print(f"  merged manifest identical: {manifests_identical}")
         print(f"  summary tables identical : {tables_identical}")
 

@@ -3,14 +3,15 @@
 The acceptance scenario for the cost-aware work-stealing scheduler: a
 benchmark matrix with one long-pole cell (a 2400-point series under a
 10-pipeline splittable toolkit) and fifteen cheap cells.  Static
-round-robin dealing strands every heavy cell on one shard — the second
+round-robin dealing strands every heavy cell on one worker — the second
 worker idles while the first grinds — so the 2-way static split barely
 beats single-process.  Work stealing must:
 
 - reach **>= 1.7x** over the single-process wall-clock with two elastic
   workers (one of which joins ~0.25s late, i.e. no membership list),
 - report the static 2-worker baseline alongside, demonstrating the skew
-  pathology stealing exists to fix,
+  pathology stealing exists to fix (the bench deals the cells itself: two
+  plain runners, one per half of the toolkit columns),
 - produce a merged manifest **byte-identical** to the single-process run
   (train-second timings normalized, per the sharded-bench convention),
 - and show the late joiner stealing at least one cell, with the split of
@@ -35,7 +36,6 @@ from repro.benchmarking import BenchmarkRunner
 from bench_perf_sharded_matrix import (
     _HORIZON,
     _normalized_manifest,
-    run_static_skewed_worker,
     skewed_suite,
     skewed_toolkits,
 )
@@ -43,6 +43,22 @@ from bench_perf_sharded_matrix import (
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_stealing.json"
 _JOIN_DELAY_SECONDS = 0.25
 _SPEEDUP_FLOOR = 1.7
+
+
+def _run_static_worker(worker: int, n_workers: int, record_root: str) -> None:
+    """Static-dealing baseline worker on the skewed matrix.
+
+    A round-robin deal of the row-major cells over ``n_workers`` workers
+    hands each one every ``n_workers``-th toolkit column when the column
+    count is a multiple of ``n_workers``: columns {0, 2} and {1, 3} here.
+    That lands *all* heavy wave cells (column 0) on worker 0 — the skew
+    pathology stealing is measured against.
+    """
+    toolkits = skewed_toolkits(record_root)
+    names = list(toolkits)[worker::n_workers]
+    BenchmarkRunner(horizon=_HORIZON).run(
+        skewed_suite(), {name: toolkits[name] for name in names}
+    )
 
 
 def _run_stealing_worker(manifest_path: str, worker: str, record_root: str) -> None:
@@ -87,12 +103,8 @@ def test_stealing_two_workers_skewed_matrix():
         assert len(single.runs) == 16
 
         # -- static round-robin dealing, 2 workers ---------------------------
-        static_manifest = workdir / "static.json"
         static_workers = [
-            ctx.Process(
-                target=run_static_skewed_worker,
-                args=(str(static_manifest), index, 2, str(roots["static"])),
-            )
+            ctx.Process(target=_run_static_worker, args=(index, 2, str(roots["static"])))
             for index in range(2)
         ]
         start = time.perf_counter()

@@ -6,7 +6,6 @@ this offline environment, so each baseline here re-implements the toolkit's
 *core algorithmic idea* with the substrates of this library, keeps the
 zero-conf defaults of Table 3, and exposes the same ``fit``/``predict``
 forecaster API so the benchmark harness can swap them in and out freely.
-DESIGN.md documents each substitution.
 """
 
 from .autots_family import (

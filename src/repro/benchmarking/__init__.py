@@ -30,7 +30,7 @@ from .manifest import (
 from .costmodel import CellCostModel, pipeline_count, split_factories
 from .results import BenchmarkResults, ToolkitRun
 from .runner import BenchmarkRunner
-from .sharding import CellQueue, ShardCoordinator, entry_key, parse_shard_spec
+from .sharding import CellQueue, entry_key
 from .reporting import (
     render_average_rank_figure,
     render_detail_table,
@@ -45,8 +45,6 @@ __all__ = [
     "ToolkitRun",
     "RunManifest",
     "SharedManifest",
-    "ShardCoordinator",
-    "parse_shard_spec",
     "CellQueue",
     "entry_key",
     "CellCostModel",

@@ -1,4 +1,4 @@
-"""Command-line benchmark harness with resumable and sharded runs.
+"""Command-line benchmark harness with resumable and work-stealing runs.
 
 Runs a toolkit-by-dataset matrix, prints the paper-style detail table and
 (optionally) checkpoints progress into a run manifest so an interrupted or
@@ -8,32 +8,24 @@ repeated invocation skips finished cells::
     python -m repro.benchmarking --suite univariate --profile fast \\
         --manifest runs/uni.json --resume --cache-dir runs/eval-store --autoai
 
-**Sharded runs** split one matrix across concurrent workers that share a
-manifest (and optionally a ``--cache-dir``).  Each worker runs a disjoint
-slice; a final plain invocation with ``--resume`` merges the shared
-manifest into the full summary::
-
-    python -m repro.benchmarking --worker --shard 1/2 --manifest runs/m.json &
-    python -m repro.benchmarking --worker --shard 2/2 --manifest runs/m.json &
-    wait
-    python -m repro.benchmarking --manifest runs/m.json --resume
-
-**Work-stealing runs** replace the static deal with an elastic shared
-queue: every ``--steal`` worker pulls cells longest-projected-cost-first
-from a queue document next to the manifest, steals from stalled peers,
-and any number of workers — including ones joining mid-run — drain one
-matrix without pre-partitioning::
+**Work-stealing runs** split one matrix across concurrent workers that
+share a manifest (and optionally a ``--cache-dir``): every ``--steal``
+worker pulls cells longest-projected-cost-first from a queue document next
+to the manifest, steals from stalled peers, and any number of workers —
+including ones joining mid-run — drain one matrix without
+pre-partitioning.  A final plain invocation with ``--resume`` merges the
+shared manifest into the full summary::
 
     python -m repro.benchmarking --steal --manifest runs/m.json &
     python -m repro.benchmarking --steal --manifest runs/m.json &   # join any time
     wait
     python -m repro.benchmarking --manifest runs/m.json --resume
 
-With ``--store-url`` the manifest, claim sidecar, queue document and
-evaluation records live in a shared object store (``python -m
-repro.store.server``) instead of the filesystem, so the workers may run
-on different hosts with no shared mount; ``--manifest`` then names the
-manifest *document* inside the store.
+With ``--store-url`` the manifest, queue document and evaluation records
+live in a shared object store (``python -m repro.store.server``) instead
+of the filesystem, so the workers may run on different hosts with no
+shared mount; ``--manifest`` then names the manifest *document* inside
+the store.
 
 ``--resume`` merges a previous manifest of the same suite; without it an
 existing manifest is overwritten.  ``--resume-strict`` additionally *fails*
@@ -45,7 +37,8 @@ assert that a warm re-run is served from the persistent records.
 
 Exit codes: 0 all cells succeeded within budget; 1 at least one cell
 permanently failed or went over budget (a failure summary is printed, so
-CI shard jobs can gate on it); 2 a strict resume found no usable manifest.
+CI jobs can gate on it); 2 a strict resume found no usable manifest, or the
+flags do not fit together.
 """
 
 from __future__ import annotations
@@ -67,10 +60,10 @@ from .experiment import (
     profile_univariate_datasets,
     sota_toolkit_factories,
 )
-from .manifest import ManifestMismatchError, SharedManifest
+from .manifest import ManifestMismatchError
 from .reporting import render_detail_table, render_shard_provenance
 from .runner import BenchmarkRunner
-from .sharding import CellQueue, ShardCoordinator, parse_shard_spec
+from .sharding import CellQueue
 
 __all__ = ["main"]
 
@@ -100,7 +93,8 @@ def _tiny_toolkits() -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.benchmarking",
-        description="Run a resumable, shardable AutoAI-TS benchmark matrix.",
+        description="Run a resumable AutoAI-TS benchmark matrix, alone or as "
+        "one of several work-stealing workers.",
     )
     parser.add_argument(
         "--suite",
@@ -130,24 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(suite mismatch, corrupt or missing file) instead of recomputing",
     )
     parser.add_argument(
-        "--worker",
-        action="store_true",
-        help="run as one shard worker of a multi-worker run (requires --shard)",
-    )
-    parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/N",
-        help="run only shard K of N (1-based); implies worker mode and "
-        "requires --manifest, which all N workers must share",
-    )
-    parser.add_argument(
         "--steal",
         action="store_true",
         help="run as one elastic work-stealing worker: pull cells "
         "longest-projected-cost-first from a shared queue document next to "
         "--manifest (required), stealing from stalled peers; workers may "
-        "join mid-run; mutually exclusive with --shard",
+        "join mid-run",
     )
     parser.add_argument(
         "--split-threshold",
@@ -161,17 +143,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--worker-id",
         default=None,
-        help="identity recorded with this worker's cell claims "
-        "(default: shard-K/N@host:pid, or steal@host:pid with --steal)",
+        help="with --steal, identity recorded with this worker's queue "
+        "leases (default: steal@host:pid)",
     )
     parser.add_argument(
         "--reclaim-stale",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="treat another worker's claim as abandoned once its newest "
-        "claimed_at/heartbeat timestamp is older than SECONDS, making a "
-        "dead worker's cells claimable again (default: never reclaim)",
+        help="with --steal, treat another worker's queue lease as abandoned "
+        "once its newest claimed_at/heartbeat timestamp is older than "
+        "SECONDS, making a dead worker's cells pullable again (default: 300)",
     )
     parser.add_argument(
         "--no-dataplane",
@@ -190,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="object-store URL (python -m repro.store.server) holding the "
-        "manifest, claim sidecar and evaluation records — lets shard "
+        "manifest, queue document and evaluation records — lets stealing "
         "workers on different hosts share one run with no shared filesystem",
     )
     parser.add_argument(
@@ -284,34 +266,16 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    shard = None
-    if args.shard is not None:
-        try:
-            shard = parse_shard_spec(args.shard)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.manifest is None:
-            print("error: --shard requires --manifest (shared by all workers)", file=sys.stderr)
-            return 2
-    elif args.worker:
-        print("error: --worker requires --shard K/N", file=sys.stderr)
+    if args.steal and args.manifest is None:
+        print(
+            "error: --steal requires --manifest (the queue document "
+            "lives next to it, shared by all workers)",
+            file=sys.stderr,
+        )
         return 2
-    if args.steal:
-        if shard is not None:
-            print(
-                "error: --steal and --shard are two ways to partition one "
-                "matrix; pick one (stealing workers need no dealt slice)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.manifest is None:
-            print(
-                "error: --steal requires --manifest (the queue document "
-                "lives next to it, shared by all workers)",
-                file=sys.stderr,
-            )
-            return 2
+    if not args.steal and (args.worker_id is not None or args.reclaim_stale is not None):
+        print("error: --worker-id/--reclaim-stale require --steal", file=sys.stderr)
+        return 2
     if (args.resume or args.resume_strict) and args.manifest is None:
         # Silently ignoring the flag would be exactly the quiet full
         # re-pay that --resume-strict exists to prevent.
@@ -359,19 +323,8 @@ def main(argv: list[str] | None = None) -> int:
             **toolkits,
         }
 
-    cells = None
     worker_id = None
-    if shard is not None:
-        index, count = shard
-        coordinator = ShardCoordinator(datasets, toolkits, n_shards=count)
-        cells = coordinator.cells(index)
-        worker_id = args.worker_id or (
-            f"shard-{index + 1}/{count}@{socket.gethostname()}:{os.getpid()}"
-        )
-        if not args.quiet:
-            print(f"[benchmark] worker {worker_id}: {len(cells)} of "
-                  f"{len(coordinator.all_cells)} cells")
-    elif args.steal:
+    if args.steal:
         worker_id = args.worker_id or (
             f"steal@{socket.gethostname()}:{os.getpid()}"
         )
@@ -408,21 +361,18 @@ def main(argv: list[str] | None = None) -> int:
     resume: bool | str = args.resume or args.resume_strict
     if args.resume_strict:
         resume = "strict"
-    if (shard is not None or args.steal) and not resume:
-        # Shard and stealing workers always merge: overwriting the shared
-        # manifest from one worker would throw away every other worker's
-        # cells.
+    if args.steal and not resume:
+        # Stealing workers always merge: overwriting the shared manifest
+        # from one worker would throw away every other worker's cells.
         resume = True
     try:
-        results = runner.run(datasets, toolkits, resume=resume, cells=cells)
+        results = runner.run(datasets, toolkits, resume=resume)
     except ManifestMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     title = f"Benchmark matrix ({args.suite} suite, horizon {args.horizon})"
-    if shard is not None:
-        title += f" — shard {shard[0] + 1}/{shard[1]}"
-    elif args.steal:
+    if args.steal:
         title += f" — stealing worker {worker_id}"
     print(render_detail_table(results, title))
 
@@ -431,10 +381,10 @@ def main(argv: list[str] | None = None) -> int:
     manifest = runner.last_manifest_
     if manifest is not None:
         reported = {(run.dataset, run.toolkit) for run in results.runs}
-        # Work-stealing runs keep provenance in the queue document; it is
-        # richer than the claim sidecar (splits, steals, per-worker load),
-        # so it wins when both exist.  A merging invocation reads it the
-        # same way the workers wrote it.
+        # Provenance lives in the queue document (which worker ran each
+        # cell, splits, steals, per-worker load).  A merging invocation
+        # reads it the same way the workers wrote it; a run no stealing
+        # worker touched has no queue document and prints no footnote.
         queue = getattr(runner, "last_queue_", None)
         if queue is None:
             queue = CellQueue(
@@ -443,32 +393,12 @@ def main(argv: list[str] | None = None) -> int:
                 backend=manifest.backend,
                 worker="provenance-reader",
             )
-        if queue.exists():
-            provenance = {
-                cell: worker
-                for cell, worker in queue.provenance().items()
-                if cell in reported
-            }
-            scheduler = queue.scheduler_stats()
-        else:
-            if isinstance(manifest, SharedManifest):
-                sidecar = manifest
-            else:
-                # A merging (coordinator) invocation still reports which
-                # shard worker computed each cell, from the claim sidecar.
-                sidecar = SharedManifest(
-                    manifest.path,
-                    manifest.fingerprint,
-                    worker="provenance-reader",
-                    backend=store,
-                )
-            # Never-sharded runs have no sidecar (wherever it would live).
-            if sidecar.has_claims():
-                provenance = {
-                    cell: worker
-                    for cell, worker in sidecar.provenance().items()
-                    if cell in reported
-                }
+        provenance = {
+            cell: worker
+            for cell, worker in queue.provenance().items()
+            if cell in reported
+        }
+        scheduler = queue.scheduler_stats()
         footnote = render_shard_provenance(provenance, scheduler=scheduler)
         if footnote:
             print(f"\n{footnote}")
@@ -485,7 +415,6 @@ def main(argv: list[str] | None = None) -> int:
         "manifest": args.manifest,
         "store_url": args.store_url,
         "resumed": bool(resume),
-        "shard": None if shard is None else f"{shard[0] + 1}/{shard[1]}",
         "steal": bool(args.steal),
         "worker_id": worker_id,
         "workers": sorted(set(provenance.values())) if provenance else [],

@@ -19,32 +19,24 @@ which knobs diverged, warn loudly, and — in strict mode — refuse to
 continue instead of quietly re-paying the whole run.
 
 Manifests are written canonically (cells sorted by ``(dataset, toolkit)``,
-atomic write-then-rename), so two runs of the same suite — sharded or not,
-interrupted or not — converge on byte-identical manifest files.
+atomic write-then-rename), so two runs of the same suite — by one worker or
+several, interrupted or not — converge on byte-identical manifest files.
 
-Manifests and claim sidecars are **documents** of a pluggable
+Manifests are **documents** of a pluggable
 :class:`~repro.store.StoreBackend`: by default they are plain files (the
 historical contract — ``--manifest runs/tiny.json`` is a path), but a
 runner handed an :class:`~repro.store.ObjectStoreBackend` keeps them in
-the shared object store instead, so shard workers on different hosts
-need no shared filesystem at all.
+the shared object store instead, so workers on different hosts need no
+shared filesystem at all.
 
-:class:`SharedManifest` extends the ledger to **concurrent shard workers**
-writing into one manifest document.  Two protocols make that safe, both
-expressed as the backend's atomic read-modify-write
-(:meth:`~repro.store.StoreBackend.update_doc` — an advisory ``flock``
-lease on the local filesystem, an ETag-conditional-PUT compare-and-swap
-loop against the object store):
-
-- *merge-on-flush*: a flush re-reads the stored manifest and publishes
-  the union of its cells and ours in one update, so late flushes never
-  clobber another worker's cells;
-- *cell claims*: before running a cell, a worker claims it in a sidecar
-  document (``<manifest>.claims.json``) in one update.  A cell that is
-  already recorded, or claimed by another worker, is not granted — so two
-  workers handed overlapping slices still never double-run a cell.  The
-  sidecar doubles as the run's provenance record: which worker computed
-  which cell.
+:class:`SharedManifest` extends the ledger to **concurrent workers**
+writing into one manifest document with *merge-on-flush*: a flush re-reads
+the stored manifest and publishes the union of its cells and ours in one
+atomic read-modify-write (:meth:`~repro.store.StoreBackend.update_doc` — an
+advisory ``flock`` lease on the local filesystem, an ETag-conditional-PUT
+compare-and-swap loop against the object store), so late flushes never
+clobber another worker's cells.  Which worker runs which cell is decided
+by the work-stealing :class:`~repro.benchmarking.sharding.CellQueue`.
 """
 
 from __future__ import annotations
@@ -53,15 +45,12 @@ import dataclasses
 import hashlib
 import json
 import os
-import secrets
-import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .. import faults
 from ..exec.cache import _array_fingerprint
 from ..store import LocalFSBackend, StoreBackend
 from .results import ToolkitRun
@@ -69,7 +58,6 @@ from .results import ToolkitRun
 __all__ = [
     "RunManifest",
     "SharedManifest",
-    "HeartbeatBeacon",
     "ManifestMismatchError",
     "ManifestMismatchWarning",
     "suite_spec",
@@ -353,154 +341,23 @@ class RunManifest:
         )
 
 
-class _AbortUpdate(Exception):
-    """Raised inside an ``update_doc`` function to leave the doc untouched."""
-
-
-class HeartbeatBeacon:
-    """Picklable liveness callback refreshing one worker's claim heartbeats.
-
-    Closes the heartbeat gap during long cells: :meth:`SharedManifest.heartbeat`
-    only fires at checkpoints, so a single slow cell under an aggressive
-    ``reclaim_stale`` looks dead mid-execution and invites a spurious
-    steal.  A beacon travels *into* cell execution (as
-    ``ToolkitRunTask.heartbeat`` and T-Daub's ``progress_callback``) and
-    bumps every claim carrying this worker's token — at most once per
-    ``interval`` seconds, swallowing every store error, because liveness
-    reporting must never take down the cell it reports on.
-    """
-
-    def __init__(
-        self, backend: StoreBackend, doc: str, token: str, interval: float = 1.0
-    ):
-        self.backend = backend
-        self.doc = doc
-        self.token = token
-        self.interval = float(interval)
-        self._last = 0.0
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_last"] = 0.0  # throttle clock is per-process
-        return state
-
-    def __call__(self, info: Mapping[str, Any] | None = None) -> None:
-        now = time.monotonic()
-        if now - self._last < self.interval:
-            return
-        self._last = now
-
-        def transact(text: str | None) -> str:
-            try:
-                record = json.loads(text) if text is not None else None
-            except (ValueError, TypeError):
-                record = None
-            if not isinstance(record, dict) or not isinstance(
-                record.get("claims"), list
-            ):
-                raise _AbortUpdate
-            stamp = time.time()
-            touched = False
-            for claim in record["claims"]:
-                if isinstance(claim, dict) and claim.get("token") == self.token:
-                    claim["heartbeat"] = stamp
-                    touched = True
-            if not touched:
-                raise _AbortUpdate
-            return json.dumps(record, indent=1)
-
-        try:
-            self.backend.update_doc(self.doc, transact)
-        except _AbortUpdate:
-            pass
-        except Exception:  # noqa: BLE001 — liveness is strictly best-effort
-            pass
-
-
 class SharedManifest(RunManifest):
-    """A run manifest safely shared by concurrent shard workers.
+    """A run manifest safely shared by concurrent work-stealing workers.
 
-    Adds two atomic-update protocols on top of :class:`RunManifest` (see
-    the module docstring): merge-on-flush and the cell-claim sidecar.
-    Both run through :meth:`~repro.store.StoreBackend.update_doc`, so
-    mutual exclusion is the backend's best mechanism — ``flock`` on a
-    local filesystem, conditional PUT against an object store — and this
-    class never touches a lock directly.
-
-    Parameters
-    ----------
-    worker:
-        Identity recorded with this worker's claims (e.g. ``"shard-1/2"``).
-    lock_timeout:
-        Seconds to wait for a document lease before failing loudly (only
-        meaningful for the default local backend; a custom ``backend``
-        brings its own contention policy).
-    reclaim_stale:
-        Age in seconds after which *another* worker's claim counts as
-        abandoned and may be taken over.  A claim's age is measured from
-        the newest of its ``claimed_at`` and ``heartbeat`` timestamps;
-        live workers refresh the heartbeat at every checkpoint (see
-        :meth:`heartbeat`), so only a worker that actually died — SIGKILL,
-        node loss, anything that skipped claim release — goes stale.
-        ``None`` (default) preserves the conservative protocol: persisted
-        claims block forever until released or manually cleared.
+    Adds merge-on-flush on top of :class:`RunManifest` (see the module
+    docstring).  It runs through
+    :meth:`~repro.store.StoreBackend.update_doc`, so mutual exclusion is
+    the backend's best mechanism — ``flock`` on a local filesystem,
+    conditional PUT against an object store — and this class never
+    touches a lock directly.
     """
-
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        fingerprint: str,
-        spec: Mapping[str, Any] | None = None,
-        worker: str = "",
-        lock_timeout: float = 60.0,
-        reclaim_stale: float | None = None,
-        backend: StoreBackend | None = None,
-    ):
-        if backend is None:
-            backend = LocalFSBackend(lock_timeout=lock_timeout)
-        super().__init__(path, fingerprint, spec, backend=backend)
-        self.worker = worker or f"worker-{os.getpid()}"
-        self.reclaim_stale = None if reclaim_stale is None else float(reclaim_stale)
-        self._granted: set[tuple[str, str]] = set()
-        # Every claim this object persists carries this nonce.  Worker
-        # *names* are display labels, not credentials — only the token
-        # says "that persisted claim is literally mine".  This is what
-        # keeps a retried claim update idempotent: a conditional PUT whose
-        # first attempt was applied but whose response was lost re-runs
-        # the grant against a sidecar already containing our entries, and
-        # the token (unlike the name) identifies them as ours to re-grant
-        # instead of counting them as a foreign worker's.
-        self._token = secrets.token_hex(16)
-
-    @property
-    def claims_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".claims.json")
-
-    @property
-    def claims_doc(self) -> str:
-        """Backend document name of the claim sidecar."""
-        return str(self.claims_path)
-
-    def has_claims(self) -> bool:
-        """True when a claim sidecar exists (i.e. this run was sharded)."""
-        try:
-            return self.backend.read_doc(self.claims_doc) is not None
-        except OSError:
-            return False
-
-    def _update_doc_if_changed(self, name: str, fn: Callable[[str | None], str]) -> None:
-        """Run one atomic document update; ``fn`` raising aborts writeless."""
-        try:
-            self.backend.update_doc(name, fn)
-        except _AbortUpdate:
-            pass
 
     def _merge_stored_cells(self, text: str | None) -> None:
         """Fold cells another worker flushed meanwhile into our ledger.
 
-        Our own cells win: claims make cell ownership disjoint, so a
-        conflict can only be a cell we recomputed after a stale claim was
-        cleared — the freshest measurement is ours.
+        Our own cells win: the queue leases each cell to one worker at a
+        time, so a conflict can only be a cell we recomputed after
+        reclaiming a stale lease — the freshest measurement is ours.
         """
         if text is None:
             return
@@ -515,218 +372,6 @@ class SharedManifest(RunManifest):
         ):
             self._merge_payloads(record.get("cells", []), from_cache=True)
 
-    # -- claims ----------------------------------------------------------------
-    def _parse_claims(self, text: str | None) -> dict:
-        if text is not None:
-            try:
-                record = json.loads(text)
-                if (
-                    isinstance(record, dict)
-                    and record.get("fingerprint") == self.fingerprint
-                    and isinstance(record.get("claims"), list)
-                ):
-                    return record
-            except (ValueError, TypeError):
-                pass
-        return {"fingerprint": self.fingerprint, "claims": []}
-
-    @staticmethod
-    def _claim_freshness(claim: Mapping[str, Any]) -> float:
-        """Newest liveness timestamp of one claim record."""
-        try:
-            claimed_at = float(claim.get("claimed_at", 0.0))
-        except (TypeError, ValueError):
-            claimed_at = 0.0
-        try:
-            heartbeat = float(claim.get("heartbeat", 0.0))
-        except (TypeError, ValueError):
-            heartbeat = 0.0
-        return max(claimed_at, heartbeat)
-
-    def _is_stale(self, claim: Mapping[str, Any], now: float) -> bool:
-        if self.reclaim_stale is None:
-            return False
-        return now - self._claim_freshness(claim) > self.reclaim_stale
-
-    def claim(self, tags: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
-        """Atomically claim the subset of ``tags`` nobody else owns.
-
-        Merge the stored manifest (cells finished by other workers since
-        our last look), then — in one atomic sidecar update — grant every
-        requested cell that is neither recorded nor already claimed.
-        *Every* persisted claim counts as taken — worker names are labels,
-        not credentials, so two workers accidentally launched with the
-        same ``--worker-id`` still cannot double-run a cell (only this
-        manifest object's own earlier grants are re-grantable).  Granted
-        claims are persisted inside the update (a ``flock`` lease locally,
-        a conditional PUT that either lands or re-runs the grant against
-        the winner's text remotely), so no two workers can ever both
-        believe they own a cell.
-
-        With ``reclaim_stale`` set, a claim whose newest
-        ``claimed_at``/``heartbeat`` timestamp is older than the threshold
-        is treated as abandoned by a dead worker: it is dropped from the
-        sidecar (the takeover is recorded on the new claim as
-        ``reclaimed_from``) and the cell granted as if it were free.
-        """
-        requested = list(tags)
-        # Cells other workers already *finished* must not be granted:
-        # merge the stored manifest first.  A plain atomic read suffices —
-        # the claim sidecar, not the manifest, is the mutual-exclusion
-        # authority (every recorded cell's claim persists as provenance).
-        try:
-            self._merge_stored_cells(self.backend.read_doc(self.doc_name))
-        except OSError:
-            pass
-        granted: set[tuple[str, str]] = set()
-
-        def transact(text: str | None) -> str:
-            nonlocal granted
-            # Timestamp inside the transaction (re-derived per attempt): a
-            # claim backdated by a contended lease or a lost CAS round
-            # would look instantly stale to reclaim_stale peers.
-            now = time.time()
-            record = self._parse_claims(text)
-            stale_owner: dict[tuple[str, str], str] = {}
-            taken: set[tuple[str, str]] = set()
-            mine: set[tuple[str, str]] = set()
-            for claim in record["claims"]:
-                key = (claim["dataset"], claim["toolkit"])
-                if claim.get("token") == self._token:
-                    # Persisted by this very object — typically by a CAS
-                    # attempt whose success reply was lost in transit.
-                    # Re-grantable, and already in the sidecar.
-                    mine.add(key)
-                    continue
-                if key in self._granted:
-                    continue
-                if self._is_stale(claim, now):
-                    stale_owner[key] = str(claim.get("worker", ""))
-                else:
-                    taken.add(key)
-            granted = set()
-            reclaimed: set[tuple[str, str]] = set()
-            new_entries: list[dict] = []
-            for dataset, toolkit in requested:
-                key = (dataset, toolkit)
-                if key in self._cells or key in taken or key in granted:
-                    continue
-                granted.add(key)
-                if key in stale_owner:
-                    reclaimed.add(key)
-                if key not in self._granted and key not in mine:
-                    entry = {
-                        "dataset": dataset,
-                        "toolkit": toolkit,
-                        "worker": self.worker,
-                        "token": self._token,
-                        "claimed_at": now,
-                    }
-                    if key in stale_owner:
-                        entry["reclaimed_from"] = stale_owner[key]
-                    new_entries.append(entry)
-            if not granted:
-                raise _AbortUpdate
-            if reclaimed:
-                # Drop the dead worker's records for the cells we took over
-                # (their identity survives in ``reclaimed_from``).
-                record["claims"] = [
-                    claim
-                    for claim in record["claims"]
-                    if (claim["dataset"], claim["toolkit"]) not in reclaimed
-                ]
-            record["claims"].extend(new_entries)
-            return json.dumps(record, indent=1)
-
-        self._update_doc_if_changed(self.claims_doc, transact)
-        self._granted |= granted
-        # Chaos seam: dying *here* is the nastiest spot in the claim
-        # protocol — the grants are durable in the sidecar but this worker
-        # never learns about them, so nothing releases them and only
-        # ``reclaim_stale`` can hand the cells to a peer.
-        faults.check("manifest.claim", detail=self.worker)
-        return granted
-
-    def heartbeat(self) -> None:
-        """Refresh the liveness timestamp on every claim this worker holds.
-
-        Called by the runner at each checkpoint; a worker that stops
-        heartbeating (crashed, SIGKILLed, partitioned) ages out once
-        ``reclaim_stale`` passes and its cells become claimable again.
-        """
-        if not self._granted:
-            return
-
-        def transact(text: str | None) -> str:
-            now = time.time()
-            record = self._parse_claims(text)
-            touched = False
-            for claim in record["claims"]:
-                if (
-                    claim.get("token") == self._token
-                    and (claim["dataset"], claim["toolkit"]) in self._granted
-                ):
-                    claim["heartbeat"] = now
-                    touched = True
-            if not touched:
-                raise _AbortUpdate
-            return json.dumps(record, indent=1)
-
-        self._update_doc_if_changed(self.claims_doc, transact)
-
-    def beacon(self, interval: float = 1.0) -> HeartbeatBeacon:
-        """A picklable in-cell heartbeat for this worker's claims.
-
-        Handed to cell execution so heartbeats keep flowing *during* a
-        long cell, not only at checkpoints (see :class:`HeartbeatBeacon`).
-        """
-        return HeartbeatBeacon(
-            self.backend, self.claims_doc, self._token, interval=interval
-        )
-
-    def release_claims(self, tags: Iterable[tuple[str, str]]) -> None:
-        """Give up claims for cells this worker will not compute after all.
-
-        Only claims this manifest object was granted are releasable —
-        matching worker *names* would let a same-named peer's live claims
-        be yanked out from under it.
-        """
-        to_release = set(tags) & self._granted
-        if not to_release:
-            return
-
-        def transact(text: str | None) -> str:
-            record = self._parse_claims(text)
-            record["claims"] = [
-                claim
-                for claim in record["claims"]
-                if not (
-                    claim.get("token") == self._token
-                    and (claim["dataset"], claim["toolkit"]) in to_release
-                )
-            ]
-            return json.dumps(record, indent=1)
-
-        self._update_doc_if_changed(self.claims_doc, transact)
-        self._granted -= to_release
-
-    def provenance(self) -> dict[tuple[str, str], str]:
-        """``{(dataset, toolkit): worker}`` from the claim sidecar.
-
-        Provenance lives in the sidecar, *not* in the manifest itself, so a
-        sharded run's manifest stays byte-identical to a single-process
-        run's.
-        """
-        try:
-            record = self._parse_claims(self.backend.read_doc(self.claims_doc))
-        except OSError:
-            record = {"claims": []}
-        return {
-            (claim["dataset"], claim["toolkit"]): str(claim.get("worker", ""))
-            for claim in record["claims"]
-        }
-
-    # -- persistence -----------------------------------------------------------
     def flush(self) -> None:
         """Merge-then-publish in one atomic update (never clobbers peers)."""
 

@@ -76,13 +76,11 @@ def render_shard_provenance(
     max_cells_listed: int = 4,
     scheduler: Mapping[str, object] | None = None,
 ) -> str:
-    """Footnotes naming which shard worker computed which matrix cells.
+    """Footnotes naming which worker computed which matrix cells.
 
-    ``provenance`` is the claim-sidecar mapping produced by
-    :meth:`~repro.benchmarking.manifest.SharedManifest.provenance` or the
-    queue-document mapping from
+    ``provenance`` is the queue-document mapping from
     :meth:`~repro.benchmarking.sharding.CellQueue.provenance`.  The detail
-    tables themselves stay provenance-free (a sharded run and a
+    tables themselves stay provenance-free (a multi-worker run and a
     single-process run render byte-identically); these footnotes are the
     place the split is reported.
 

@@ -18,10 +18,17 @@ matrix progresses, and a re-invocation with the same suite merges the
 recorded cells (marked ``from_cache``) instead of recomputing them.  An
 interrupted run therefore resumes from its last checkpoint and produces the
 same summary tables as an uninterrupted one.
+
+With ``steal=True`` the runner is one of several **work-stealing workers**
+sharing the matrix: cells are pulled from a
+:class:`~repro.benchmarking.sharding.CellQueue` next to the manifest and
+recorded into a merge-on-flush
+:class:`~repro.benchmarking.manifest.SharedManifest`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from typing import Callable, Iterable, Mapping
@@ -107,23 +114,18 @@ class BenchmarkRunner:
         Storage backend holding the manifest documents: a
         :class:`~repro.store.StoreBackend`, an ``http://`` object-store
         URL, or ``None`` (default) for plain files at ``manifest_path``.
-        With an object store, shard workers on different hosts coordinate
-        claims via conditional PUT and need no shared filesystem.
+        With an object store, stealing workers on different hosts
+        coordinate via conditional PUT and need no shared filesystem.
     worker_id:
-        When set, this runner behaves as one **shard worker** of a
-        multi-worker run: the manifest becomes a lock-guarded
-        :class:`~repro.benchmarking.manifest.SharedManifest`, pending cells
-        are *claimed* before they run (so concurrent workers never
-        double-run or clobber a cell), and cells another worker owns are
-        left out of this invocation's results.  Requires ``manifest_path``.
+        Display name of this stealing worker, recorded in the queue's
+        provenance (default ``worker-<pid>``).  Requires ``steal``.
     reclaim_stale:
-        Age in seconds after which another worker's claim counts as
-        abandoned: a worker that died holding claims (SIGKILL, node loss)
+        Age in seconds after which another worker's queue lease counts as
+        abandoned: a worker that died holding leases (SIGKILL, node loss)
         stops refreshing its heartbeat, and once the newest of
-        ``claimed_at``/``heartbeat`` is older than this, the cells become
-        claimable again.  ``None`` (default) never reclaims — dead
-        workers' cells stay blocked until the claim sidecar is cleared.
-        Only meaningful for shard workers (``worker_id``).
+        ``claimed_at``/``heartbeat`` is older than this, its entries
+        become pullable again.  ``None`` (default) never reclaims — a dead
+        worker's leases stay blocked.  Requires ``steal``.
     dataplane:
         Use the execution backend's zero-copy data plane when it provides
         one: each dataset is registered with the engine once per run and
@@ -132,17 +134,19 @@ class BenchmarkRunner:
         by-value path, which remains the fallback for executors without a
         plane.  On by default.
     steal:
-        Run as an **elastic work-stealing worker** instead of taking a
-        dealt slice: cells are pulled longest-projected-cost-first from a
-        shared :class:`~repro.benchmarking.sharding.CellQueue` document
-        next to the manifest, so any number of workers — including ones
-        joining mid-run — drain one queue without pre-partitioning.  When
-        the pending queue is empty a worker steals: it reclaims entries
-        whose heartbeat went stale for ``reclaim_stale`` seconds, or picks
-        up pending parts of a long cell a peer is executing (split cells;
-        see ``split_threshold``).  Requires ``manifest_path``; implies the
-        shared-manifest protocol.  The merged manifest stays byte-identical
-        to a single-process run — scheduling is invisible in the output.
+        Run as an **elastic work-stealing worker**: cells are pulled
+        longest-projected-cost-first from a shared
+        :class:`~repro.benchmarking.sharding.CellQueue` document next to
+        the manifest, so any number of workers — including ones joining
+        mid-run — drain one queue without pre-partitioning.  When the
+        pending queue is empty a worker steals: it reclaims entries whose
+        heartbeat went stale for ``reclaim_stale`` seconds, or picks up
+        pending parts of a long cell a peer is executing (split cells; see
+        ``split_threshold``).  Requires ``manifest_path``; results are
+        recorded into a merge-on-flush
+        :class:`~repro.benchmarking.manifest.SharedManifest`.  The merged
+        manifest stays byte-identical to a single-process run — scheduling
+        is invisible in the output.
     split_threshold:
         A cell whose projected cost exceeds this multiple of the median
         cell cost is decomposed into parts multiple workers can execute
@@ -187,12 +191,12 @@ class BenchmarkRunner:
         self.dataplane = dataplane
         self.steal = bool(steal)
         self.split_threshold = split_threshold
-        if worker_id is not None and manifest_path is None:
+        if not self.steal and (worker_id is not None or reclaim_stale is not None):
             from ..exceptions import InvalidParameterError
 
             raise InvalidParameterError(
-                "worker_id requires manifest_path: shard workers coordinate "
-                "through a shared manifest"
+                "worker_id and reclaim_stale require steal=True: they name and "
+                "heal the leases of a work-stealing worker"
             )
         if self.steal and manifest_path is None:
             from ..exceptions import InvalidParameterError
@@ -242,7 +246,6 @@ class BenchmarkRunner:
         datasets: Mapping[str, np.ndarray],
         toolkits: Mapping[str, ToolkitFactory],
         resume: bool | str = True,
-        cells: Iterable[tuple[str, str]] | None = None,
     ) -> BenchmarkResults:
         """Run every toolkit on every data set and collect the results.
 
@@ -253,27 +256,14 @@ class BenchmarkRunner:
         :class:`~repro.benchmarking.manifest.ManifestMismatchError` when no
         resumable manifest exists, so an interrupted run is never silently
         re-paid in full.
-
-        ``cells`` restricts the invocation to a subset of ``(dataset,
-        toolkit)`` pairs — the shard worker entry point (see
-        :class:`~repro.benchmarking.sharding.ShardCoordinator`).  The suite
-        fingerprint always covers the *full* matrix, so every shard of one
-        suite shares one manifest.
         """
         engine = get_executor(self.executor, self.n_jobs)
         plane_factory = getattr(engine, "create_dataplane", None)
         plane = plane_factory() if self.dataplane and callable(plane_factory) else None
         try:
             if self.steal:
-                if cells is not None:
-                    from ..exceptions import InvalidParameterError
-
-                    raise InvalidParameterError(
-                        "cells and steal are mutually exclusive: the queue "
-                        "decides which cells this worker runs"
-                    )
                 return self._run_stealing(datasets, toolkits, resume, engine, plane)
-            return self._run(datasets, toolkits, resume, cells, engine, plane)
+            return self._run(datasets, toolkits, resume, engine, plane)
         finally:
             if plane is not None:
                 plane.close()
@@ -283,11 +273,9 @@ class BenchmarkRunner:
         datasets: Mapping[str, np.ndarray],
         toolkits: Mapping[str, ToolkitFactory],
         resume: bool | str,
-        cells: Iterable[tuple[str, str]] | None,
         engine: BaseExecutor,
         plane,
     ) -> BenchmarkResults:
-        cell_filter = None if cells is None else set(cells)
         tasks: list[ToolkitRunTask] = []
         splits: dict[str, tuple[np.ndarray, int]] = {}
         for dataset_name, data in datasets.items():
@@ -296,8 +284,6 @@ class BenchmarkRunner:
             splits[dataset_name] = (data, n_train)
             train_part, test_part = _split_payload(data, n_train)
             for toolkit_name, factory in toolkits.items():
-                if cell_filter is not None and (dataset_name, toolkit_name) not in cell_filter:
-                    continue
                 tasks.append(
                     ToolkitRunTask(
                         tag=(dataset_name, toolkit_name),
@@ -319,20 +305,9 @@ class BenchmarkRunner:
                 evaluation_window=self.evaluation_window,
                 max_train_seconds=self.max_train_seconds,
             )
-            fingerprint = fingerprint_of_spec(spec)
-            if self.worker_id is not None:
-                manifest = SharedManifest(
-                    self.manifest_path,
-                    fingerprint,
-                    spec,
-                    worker=self.worker_id,
-                    reclaim_stale=self.reclaim_stale,
-                    backend=self.store,
-                )
-            else:
-                manifest = RunManifest(
-                    self.manifest_path, fingerprint, spec, backend=self.store
-                )
+            manifest = RunManifest(
+                self.manifest_path, fingerprint_of_spec(spec), spec, backend=self.store
+            )
             if resume and manifest.load(strict=resume == "strict"):
                 self._log(
                     f"resuming from {self.manifest_path}: "
@@ -340,7 +315,7 @@ class BenchmarkRunner:
                 )
 
         #: The manifest object of the latest ``run`` (None without
-        #: ``manifest_path``) — lets callers read provenance afterwards.
+        #: ``manifest_path``) — lets callers read it back afterwards.
         self.last_manifest_ = manifest
 
         completed: dict[tuple, ToolkitRun] = {}
@@ -355,28 +330,9 @@ class BenchmarkRunner:
             else:
                 pending.append(task)
 
-        granted: set[tuple[str, str]] = set()
-        if isinstance(manifest, SharedManifest) and pending:
-            granted = manifest.claim([task.tag for task in pending])
-            owned_elsewhere = [task for task in pending if task.tag not in granted]
-            pending = [task for task in pending if task.tag in granted]
-            for task in owned_elsewhere:
-                self._log(
-                    f"{task.tag[0]:<28s} {task.tag[1]:<18s} "
-                    "claimed by another worker; skipping"
-                )
-            # Checkpoint-time heartbeats alone let a legitimately long cell
-            # age past reclaim_stale mid-execution and invite a spurious
-            # steal; a beacon threaded into the cell keeps every claim
-            # fresh per T-Daub round, not just per checkpoint.
-            beacon = manifest.beacon()
-            for task in pending:
-                task.heartbeat = beacon
-
         if plane is not None and pending:
-            # Registration waits until the resume merge and claim protocol
-            # have said which cells actually run: a fully-warm resume (or a
-            # shard whose slice was claimed elsewhere) must not pay
+            # Registration waits until the resume merge has said which
+            # cells actually run: a fully-warm resume must not pay
             # shared-memory copies for datasets it never computes.  One
             # registration per dataset per run ("one plane per suite"): the
             # shared splits of every cell are slices of the same pinned
@@ -391,43 +347,21 @@ class BenchmarkRunner:
                     registered[dataset_name] = _split_payload(handle, n_train)
                 task.train, task.test = registered[dataset_name]
 
-        try:
-            for chunk in self._checkpoint_chunks(pending, manifest, engine):
-                outcomes = engine.map_tasks(
-                    run_toolkit_task, chunk, timeout=self.max_train_seconds
-                )
-                for task, outcome in zip(chunk, outcomes):
-                    self._log_outcome(task, outcome)
-                    run = self._to_run(task, outcome)
-                    completed[task.tag] = run
-                    if manifest is not None and not self._transient_failure(outcome):
-                        manifest.record(run)
-                if manifest is not None:
-                    manifest.flush()
-                if isinstance(manifest, SharedManifest):
-                    # Refresh our claims' heartbeats at every checkpoint so
-                    # --reclaim-stale peers can tell a slow worker from a
-                    # dead one.
-                    manifest.heartbeat()
-                # Chaos seam: a worker dying right after a checkpoint has
-                # durable results but unreleased claims — the resume /
-                # reclaim paths must carry the run from here.
-                faults.check("runner.checkpoint", detail=self.worker_id or "")
-        finally:
-            # Claims for cells that ended without a manifest record — a
-            # transient executor failure (deliberately kept out of the
-            # manifest so a resume retries it) or an exception/interrupt
-            # before the cell ran — must not stay held, or no later worker
-            # could ever recompute those cells.  (A SIGKILLed worker still
-            # leaves its claims behind; see the stale-claim ROADMAP item.)
-            if isinstance(manifest, SharedManifest) and granted:
-                unrecorded = [tag for tag in granted if manifest.get(*tag) is None]
-                if unrecorded:
-                    manifest.release_claims(unrecorded)
-                    self._log(
-                        f"released {len(unrecorded)} claims for cells left "
-                        "unrecorded (retryable by any worker)"
-                    )
+        for chunk in self._checkpoint_chunks(pending, manifest, engine):
+            outcomes = engine.map_tasks(
+                run_toolkit_task, chunk, timeout=self.max_train_seconds
+            )
+            for task, outcome in zip(chunk, outcomes):
+                self._log_outcome(task, outcome)
+                run = self._to_run(task, outcome)
+                completed[task.tag] = run
+                if manifest is not None and not self._transient_failure(outcome):
+                    manifest.record(run)
+            if manifest is not None:
+                manifest.flush()
+            # Chaos seam: a worker dying right after a checkpoint has
+            # durable results — the resume path must carry the run from here.
+            faults.check("runner.checkpoint")
 
         results = BenchmarkResults(horizon=self.horizon)
         for task in tasks:
@@ -445,10 +379,10 @@ class BenchmarkRunner:
     ) -> BenchmarkResults:
         """One elastic worker: pull, execute, record, repeat until drained.
 
-        The queue document (not a dealt slice) decides what this worker
-        runs, so the same invocation serves the first worker of a run and
-        a worker joining hours later.  Cells and merges are recorded into
-        the shared manifest exactly like the static path; parts only warm
+        The shared queue document decides what this worker runs, so the
+        same invocation serves the first worker of a run and a worker
+        joining hours later.  Cells and merges are recorded into
+        the shared manifest exactly like the plain path; parts only warm
         the shared evaluation store and never touch the manifest, which is
         how a split cell's merged result stays byte-identical to an
         unsplit run.
@@ -466,14 +400,7 @@ class BenchmarkRunner:
         )
         fingerprint = fingerprint_of_spec(spec)
         worker = self.worker_id or f"worker-{os.getpid()}"
-        manifest = SharedManifest(
-            self.manifest_path,
-            fingerprint,
-            spec,
-            worker=worker,
-            reclaim_stale=self.reclaim_stale,
-            backend=self.store,
-        )
+        manifest = SharedManifest(self.manifest_path, fingerprint, spec, backend=self.store)
         if resume:
             manifest.load(strict=resume == "strict")
         self.last_manifest_ = manifest
@@ -537,62 +464,79 @@ class BenchmarkRunner:
                     time.sleep(0.05)
                     continue
                 break
-            tasks: list[ToolkitRunTask] = []
-            runnable: list[dict] = []
-            for entry in batch:
-                factory = toolkits[entry["toolkit"]]
-                if entry["kind"] == "part":
-                    index, n_parts = entry["part"]
-                    cache_key = (entry["toolkit"], int(n_parts))
-                    if cache_key not in part_cache:
-                        part_cache[cache_key] = split_factories(factory, n_parts)
-                    parts = part_cache[cache_key]
-                    if parts is None or len(parts) != int(n_parts):
-                        # The factory no longer splits the way the plan
-                        # assumed (e.g. code changed between seed and pull):
-                        # settle the part as a no-op, the merge runs cold.
-                        queue.complete(entry, seconds=0.0)
-                        continue
-                    factory = parts[int(index)]
-                train, test = splits_for(entry["dataset"])
-                tasks.append(
-                    ToolkitRunTask(
-                        tag=(entry["dataset"], entry["toolkit"]),
-                        factory=factory,
-                        train=train,
-                        test=test,
-                        horizon=self.horizon,
-                        evaluation_window=self.evaluation_window,
-                        heartbeat=queue.beacon(entry),
+            # Leases pulled but not yet completed or requeued.  Any
+            # exception, KeyboardInterrupt included, hands them back to the
+            # queue before it propagates: otherwise they stay ``running``
+            # under a worker that is gone, and peers could only take them
+            # over after ``reclaim_stale`` (or never, without it).
+            unsettled = list(batch)
+            try:
+                tasks: list[ToolkitRunTask] = []
+                runnable: list[dict] = []
+                for entry in batch:
+                    factory = toolkits[entry["toolkit"]]
+                    if entry["kind"] == "part":
+                        index, n_parts = entry["part"]
+                        cache_key = (entry["toolkit"], int(n_parts))
+                        if cache_key not in part_cache:
+                            part_cache[cache_key] = split_factories(factory, n_parts)
+                        parts = part_cache[cache_key]
+                        if parts is None or len(parts) != int(n_parts):
+                            # The factory no longer splits the way the plan
+                            # assumed (e.g. code changed between seed and
+                            # pull): settle the part as a no-op, the merge
+                            # runs cold.
+                            queue.complete(entry, seconds=0.0)
+                            unsettled.remove(entry)
+                            continue
+                        factory = parts[int(index)]
+                    train, test = splits_for(entry["dataset"])
+                    tasks.append(
+                        ToolkitRunTask(
+                            tag=(entry["dataset"], entry["toolkit"]),
+                            factory=factory,
+                            train=train,
+                            test=test,
+                            horizon=self.horizon,
+                            evaluation_window=self.evaluation_window,
+                            heartbeat=queue.beacon(entry),
+                        )
                     )
+                    runnable.append(entry)
+                if not tasks:
+                    continue
+                outcomes = engine.map_tasks(
+                    run_toolkit_task, tasks, timeout=self.max_train_seconds
                 )
-                runnable.append(entry)
-            if not tasks:
-                continue
-            outcomes = engine.map_tasks(
-                run_toolkit_task, tasks, timeout=self.max_train_seconds
-            )
-            recorded = False
-            for entry, task, outcome in zip(runnable, tasks, outcomes):
-                if self._transient_failure(outcome):
-                    self._log(
-                        f"{entry['dataset']:<28s} {entry['toolkit']:<18s} "
-                        f"transient failure; requeued ({entry['kind']})"
-                    )
-                    queue.requeue(entry)
-                    continue
-                if entry["kind"] == "part":
-                    queue.complete(entry, seconds=outcome.seconds)
-                    continue
-                self._log_outcome(task, outcome)
-                run = self._to_run(task, outcome)
-                completed[task.tag] = run
-                manifest.record(run)
-                recorded = True
-                queue.complete(entry, seconds=outcome.seconds)
-            if recorded:
-                manifest.flush()
-            # Chaos seam shared with the static path: durable results,
+                recorded = False
+                for entry, task, outcome in zip(runnable, tasks, outcomes):
+                    if self._transient_failure(outcome):
+                        self._log(
+                            f"{entry['dataset']:<28s} {entry['toolkit']:<18s} "
+                            f"transient failure; requeued ({entry['kind']})"
+                        )
+                        queue.requeue(entry)
+                    elif entry["kind"] == "part":
+                        queue.complete(entry, seconds=outcome.seconds)
+                    else:
+                        self._log_outcome(task, outcome)
+                        run = self._to_run(task, outcome)
+                        completed[task.tag] = run
+                        manifest.record(run)
+                        recorded = True
+                        queue.complete(entry, seconds=outcome.seconds)
+                    unsettled.remove(entry)
+                if recorded:
+                    manifest.flush()
+            except BaseException:
+                for entry in unsettled:
+                    # Best effort: the original exception is what must
+                    # surface; a lease the store refuses to take back is
+                    # left to reclaim_stale.
+                    with contextlib.suppress(OSError):
+                        queue.requeue(entry)
+                raise
+            # Chaos seam shared with the plain path: durable results,
             # freshly settled queue state, worker may die right here.
             faults.check("runner.checkpoint", detail=worker)
 

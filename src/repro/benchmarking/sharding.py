@@ -1,25 +1,19 @@
-"""Shard coordination: partition the benchmark matrix across workers.
+"""Work-stealing cell queue: several workers share one benchmark matrix.
 
 The paper's evaluation is a (dataset, toolkit) matrix — 62 univariate plus
 multivariate data sets by 10 toolkits — whose cells are all independent,
-so the natural scale-out unit is a *slice of cells*.  This module supplies
-the deterministic partitioning; the safety half (no double-runs, no lost
-cells) lives in :class:`~repro.benchmarking.manifest.SharedManifest`, which
-every worker writes into.
-
-The coordinator is deliberately stateless: ``shard K/N`` is a pure
-function of the suite, so workers need no rendezvous service — handing the
-same suite and ``K/N`` to any number of hosts (``python -m
-repro.benchmarking --worker --shard K/N --manifest shared.json``) yields
-disjoint, jointly-exhaustive slices.  Cells are dealt round-robin in the
-runner's row-major order, which balances both datasets and toolkits across
-shards (consecutive cells of one dataset land on different shards, so one
-pathologically slow dataset row is spread over the fleet).
+so the natural scale-out unit is a *cell*.  :class:`CellQueue` is the one
+way several workers share a matrix: every worker pulls its next cell from
+a shared queue document next to the run manifest (``python -m
+repro.benchmarking --steal --manifest shared.json``), so workers need no
+rendezvous service and no dealt slice, and may join or leave mid-run.  The
+results half — merging every worker's cells into one manifest — lives in
+:class:`~repro.benchmarking.manifest.SharedManifest`.
 
 Convergence mirrors the multiple-admissible-schedules framing of
 determination provenance: whichever worker computes a cell, the shared
-manifest merges to the same canonical byte content, and the claim sidecar
-records which worker actually ran it.
+manifest merges to the same canonical byte content, and the queue's entries
+and event log record which worker actually ran it.
 """
 
 from __future__ import annotations
@@ -34,11 +28,8 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .. import faults
 from ..store import LocalFSBackend, StoreBackend
-from .manifest import _AbortUpdate
 
 __all__ = [
-    "ShardCoordinator",
-    "parse_shard_spec",
     "CellQueue",
     "entry_key",
     "QUEUE_SCHEMA_VERSION",
@@ -49,83 +40,8 @@ __all__ = [
 QUEUE_SCHEMA_VERSION = 1
 
 
-def parse_shard_spec(spec: str) -> tuple[int, int]:
-    """Parse a ``"K/N"`` shard spec to zero-based ``(index, count)``.
-
-    ``K`` is one-based on the command line (``--shard 1/2`` and ``2/2``
-    cover a two-worker run).
-    """
-    text = str(spec).strip()
-    try:
-        k_text, n_text = text.split("/")
-        k, n = int(k_text), int(n_text)
-    except ValueError:
-        raise ValueError(f"shard spec {spec!r} is not of the form 'K/N'") from None
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(f"shard spec {spec!r} needs 1 <= K <= N")
-    return k - 1, n
-
-
-class ShardCoordinator:
-    """Deterministic disjoint partition of the (dataset, toolkit) matrix.
-
-    Parameters
-    ----------
-    datasets, toolkits:
-        The suite, exactly as handed to
-        :meth:`~repro.benchmarking.runner.BenchmarkRunner.run` (mappings;
-        only the key order matters here).
-    n_shards:
-        Number of workers the matrix is split across.  May exceed the cell
-        count — surplus shards simply receive empty slices.
-    """
-
-    def __init__(
-        self,
-        datasets: Mapping[str, Any] | Iterable[str],
-        toolkits: Mapping[str, Any] | Iterable[str],
-        n_shards: int,
-    ):
-        self.n_shards = int(n_shards)
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        # Row-major like the runner's task list, so shard slices preserve
-        # the canonical cell order within themselves.
-        self.all_cells: list[tuple[str, str]] = [
-            (dataset, toolkit) for dataset in datasets for toolkit in toolkits
-        ]
-
-    def cells(self, shard_index: int) -> list[tuple[str, str]]:
-        """The cell slice of one zero-based shard (round-robin deal)."""
-        if not 0 <= shard_index < self.n_shards:
-            raise ValueError(
-                f"shard_index {shard_index} out of range for {self.n_shards} shards"
-            )
-        return self.all_cells[shard_index :: self.n_shards]
-
-    def plan(self) -> dict[int, list[tuple[str, str]]]:
-        """``{shard_index: cells}`` for every shard (inspection/logging)."""
-        return {index: self.cells(index) for index in range(self.n_shards)}
-
-    def describe(self) -> str:
-        """One line per shard: how many cells, which datasets they touch."""
-        lines = []
-        for index, cells in self.plan().items():
-            datasets = []
-            for dataset, _ in cells:
-                if dataset not in datasets:
-                    datasets.append(dataset)
-            lines.append(
-                f"shard {index + 1}/{self.n_shards}: {len(cells)} cells "
-                f"over {len(datasets)} datasets"
-            )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardCoordinator(cells={len(self.all_cells)}, "
-            f"n_shards={self.n_shards})"
-        )
+class _AbortUpdate(Exception):
+    """Raised inside an ``update_doc`` function to leave the doc untouched."""
 
 
 def entry_key(entry: Mapping[str, Any]) -> tuple:
@@ -234,14 +150,13 @@ def _parse_queue(text: str | None) -> dict | None:
 class CellQueue:
     """A work-stealing cell queue shared by elastic benchmark workers.
 
-    The generalization of the claim sidecar: instead of being dealt a fixed
-    ``K/N`` slice, every worker *pulls* its next cell from one shared queue
-    document, so membership is elastic — a worker joins mid-run by pulling,
-    leaves by dying (its leases age out and are re-pulled by peers).  All
-    mutations run through the backend's atomic read-modify-write
-    (:meth:`~repro.store.StoreBackend.update_doc`), exactly like
-    :class:`~repro.benchmarking.manifest.SharedManifest` claims, so two
-    workers racing one pull can never both be granted the same entry.
+    Every worker *pulls* its next cell from one shared queue document, so
+    membership is elastic — a worker joins mid-run by pulling, leaves by
+    dying (its leases age out and are re-pulled by peers).  All mutations
+    run through the backend's atomic read-modify-write
+    (:meth:`~repro.store.StoreBackend.update_doc`), like the
+    :class:`~repro.benchmarking.manifest.SharedManifest` merge-on-flush, so
+    two workers racing one pull can never both be granted the same entry.
 
     Entries are ordered longest-projected-cost-first (LPT) and come in
     three kinds, planned by
@@ -260,9 +175,10 @@ class CellQueue:
     pending part of a cell a peer is already executing shares that cell's
     remaining waves (``mode="split"``).
 
-    Like :class:`~repro.benchmarking.manifest.SharedManifest`, each queue
-    object carries a secret token: worker names are display labels, the
-    token is the credential that makes a retried CAS grant idempotent.
+    Each queue object carries a secret token: worker names are display
+    labels, the token is the credential that makes a retried CAS grant
+    idempotent (a conditional PUT applied but unacknowledged re-runs the
+    grant against a document that already holds our leases).
     """
 
     def __init__(
@@ -513,7 +429,7 @@ class CellQueue:
         for entry in granted:
             self._active.add(entry_key(entry))
         # Chaos seam: dying here leaves durable leases nobody is executing —
-        # only reclaim_stale peers can heal them, exactly like claims.
+        # only reclaim_stale peers can heal them.
         faults.check("queue.pull", detail=self.worker)
         return [dict(entry) for entry in granted]
 

@@ -133,9 +133,10 @@ class LookbackDiscovery:
                 continue
             if self.max_look_back is not None and value > int(self.max_look_back):
                 continue
-            # A window must repeat a few times to leave room for training
-            # samples (stricter than the paper's "greater than the length of
-            # the dataset" rule, see DESIGN.md).
+            # A window must repeat at least three times, which is stricter
+            # than the paper's "greater than the length of the dataset" rule
+            # because a look-back near the series length leaves almost no
+            # supervised windows to score it on or to train pipelines with.
             if value > series_length // 3:
                 continue
             filtered[value] = source

@@ -15,7 +15,6 @@ reproduction, so each data set is replaced by a *seeded surrogate* that keeps
 This keeps the rank-based comparisons of Figures 6-9 meaningful: what
 matters for the benchmark is that the pool of data sets spans the same mix
 of "easy seasonal", "trending", "bursty" and "random-walk like" behaviours.
-The substitution is documented in DESIGN.md.
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ class InvalidParameterError(ReproError, ValueError):
     """Raised when an estimator receives an invalid hyper-parameter value."""
 
 
+class NonFiniteForecastError(ReproError, ValueError):
+    """Raised when a forecast about to be served contains NaN or inf values."""
+
+
 class ConvergenceWarning(UserWarning):
     """Warning emitted when an iterative solver stops before convergence."""
 

@@ -102,8 +102,8 @@ class FileLock:
     Atomic write-then-rename keeps individual writes safe, but a *merge*
     (read the current content, fold in new cells, write the union) needs
     mutual exclusion or two concurrent writers lose each other's updates.
-    Benchmark shard workers sharing one run manifest serialize their merges
-    through this lock.
+    Benchmark workers sharing one run manifest or work queue serialize
+    their merges through this lock.
 
     On POSIX the lock is ``flock`` on a sidecar file, which conflicts
     between file descriptors (so two threads of one process exclude each

@@ -135,7 +135,7 @@ class ToolkitRunTask:
     test: np.ndarray | ArrayRef | FrameRef
     horizon: int
     evaluation_window: int | None = None
-    #: Optional liveness callback (e.g. a claim/queue heartbeat beacon).
+    #: Optional liveness callback (e.g. a queue lease heartbeat beacon).
     #: Pulsed once when the cell starts; models exposing an unset
     #: ``progress_callback`` attribute also receive it, so long fits keep
     #: heartbeating from *inside* execution instead of looking dead until

@@ -4,7 +4,7 @@ The fleet this system targets fails in boring, repeatable ways — spot
 instances die mid-task, the object store browns out, a partition eats a
 conditional PUT's response — and the recovery machinery (task
 resubmission, lane rejoin, bounded retry, the store circuit breaker,
-stale-claim reclaim) only stays honest if those failures are *exercised
+stale-lease reclaim) only stays honest if those failures are *exercised
 systematically*.  This package makes them injectable, deterministic and
 replayable:
 
@@ -41,8 +41,12 @@ site                     detail                          honored actions
 ``store.server.doc_put`` quoted document name            ``drop`` (write applied,
                                                          response lost — a
                                                          partition mid-CAS)
-``manifest.claim``       worker id                       ``error`` (die between
-                                                         claim and checkpoint)
+``queue.pull``           worker id                       ``error`` (die after
+                                                         leasing, before running:
+                                                         the grants stay
+                                                         ``running`` until a
+                                                         ``reclaim_stale`` peer
+                                                         takes them over)
 ``runner.checkpoint``    worker id (or ``""``)           ``error`` (die right
                                                          after a checkpoint)
 ``frame.chunk_read``     chunk blob digest               ``error`` (torn/short

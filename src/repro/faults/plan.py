@@ -29,7 +29,7 @@ class InjectedFault(RuntimeError):
 
     Deliberately *not* a :class:`ConnectionError`/:class:`OSError`
     subclass: seams decide explicitly how an injected fault surfaces
-    (dropping a connection, killing a worker, aborting a claim), so a
+    (dropping a connection, killing a worker, aborting a queue pull), so a
     generic degradation path can never quietly absorb one by accident.
     """
 

@@ -24,7 +24,6 @@ from .chunked import (
     load_frame,
     spill_frame,
 )
-from .engine import ENGINE_ENV, active_engine
 from .frame import (
     BaseFrame,
     FrameColumn,
@@ -47,7 +46,5 @@ __all__ = [
     "load_frame",
     "dictionary_encode",
     "is_frame",
-    "active_engine",
-    "ENGINE_ENV",
     "FRAME_SCHEMA_VERSION",
 ]

@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_2d_array, check_positive_int
-from .engine import gather_rows
 from .frame import is_frame
 
 __all__ = ["ChunkedWindowFramer"]
@@ -99,7 +98,7 @@ class ChunkedWindowFramer:
     def _rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``[start, stop)`` of the source as a float64 2-D block."""
         if is_frame(self.source):
-            return gather_rows(self.source, start, stop)
+            return self.source.gather(start, stop)
         return self.source[start:stop]
 
     def blocks(self):

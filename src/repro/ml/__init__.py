@@ -4,7 +4,7 @@ The paper's ML pipelines wrap Random Forest, Support Vector Regression,
 XGBoost-style gradient boosting, Linear Regression and SGD Regression behind
 look-back window transforms.  Because neither scikit-learn nor xgboost is
 available in the reproduction environment, equivalent models are implemented
-here on top of numpy (see DESIGN.md, substitution table).
+here on top of numpy.
 """
 
 from .boosting import GradientBoostingRegressor

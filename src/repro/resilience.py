@@ -9,7 +9,7 @@ classes here make the policies explicit, shared and tunable:
 :class:`RetryPolicy`
     Bounded attempts with exponential backoff and **full jitter**
     (``sleep ~ U(0, base · 2^attempt)``, clamped) — the AWS-style
-    decorrelation that keeps a thundering herd of shard workers from
+    decorrelation that keeps a thundering herd of benchmark workers from
     hammering a recovering service in lockstep.  One immutable policy
     value can be shared by every caller in a class of failures
     (transport, CAS contention, lane reconnect), which is what "per-class

@@ -14,6 +14,10 @@ prefix.  The :class:`MicroBatcher` exploits that shape:
   shared forecast.  A thousand concurrent requests for a hot model
   become a handful of model invocations — the difference between
   dispatch-bound and compute-bound throughput.
+- A request whose own slice holds a NaN or inf fails alone with
+  :class:`~repro.exceptions.NonFiniteForecastError` (HTTP 500 upstream):
+  a non-finite value is never served (standard JSON has no token for it).
+  A batch-mate whose shorter slice is finite still gets its answer.
 - Queues are **bounded** (``max_queue`` per digest): a request arriving
   at a full queue is shed instantly with :class:`ServeOverloadError`
   (HTTP 429 upstream) instead of growing an unbounded backlog whose
@@ -41,6 +45,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+
+from ..exceptions import NonFiniteForecastError
 
 __all__ = ["MicroBatcher", "ServeOverloadError", "BatchedForecast"]
 
@@ -225,9 +231,15 @@ class MicroBatcher:
         for horizon, enqueued, future in batch:
             if future.done():  # client went away mid-flight
                 continue
-            if error is not None:
+            failure = error
+            if failure is None and not np.isfinite(forecast[:horizon]).all():
+                failure = NonFiniteForecastError(
+                    f"model {digest[:12]} forecast has non-finite values "
+                    f"within horizon {horizon}"
+                )
+            if failure is not None:
                 metrics.errors += 1
-                future.set_exception(error)
+                future.set_exception(failure)
                 continue
             metrics.completed += 1
             metrics.latency.append(now - enqueued)

@@ -19,13 +19,14 @@ three object families those consumers actually use:
     even to a worker restarted on a different host.
 
 **Documents** (``read_doc`` / ``write_doc`` / ``update_doc``)
-    Small *mutable* texts addressed by name — run manifests and claim
-    sidecars.  :meth:`~StoreBackend.update_doc` is the lease primitive
-    that replaces raw ``FileLock``: an atomic read-modify-write whose
+    Small *mutable* texts addressed by name — run manifests and
+    work-queue documents.  :meth:`~StoreBackend.update_doc` is the lease
+    primitive that replaces raw ``FileLock``: an atomic read-modify-write whose
     concurrency control is whatever the backend does best (an advisory
     ``flock`` on the local filesystem, a conditional-PUT compare-and-swap
-    loop against the object store).  Callers express merges and claims as
-    a pure function of the current text and never touch locks directly.
+    loop against the object store).  Callers express merges and queue
+    pulls as a pure function of the current text and never touch locks
+    directly.
 
 Backends must be **picklable** (state only — no sockets or file
 descriptors), because benchmark toolkit factories carry them into worker

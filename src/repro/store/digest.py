@@ -12,8 +12,8 @@ keys, ``ArrayRef`` addresses and blob names alike.
   written, so existing stores keep hitting.
 - :func:`array_digest` — blob/ref addresses (16-byte BLAKE2 of the raw
   array buffer), exactly the data plane's historical scheme.
-- :func:`text_digest` — ETags for mutable documents (manifests, claim
-  sidecars) in the object-store protocol.
+- :func:`text_digest` — ETags for mutable documents (manifests, work
+  queues) in the object-store protocol.
 
 ``array_digest`` additionally **memoizes per array object**: registering
 a dataset with the data plane, fingerprinting it for the suite spec and

@@ -31,9 +31,9 @@ points:
 - **Compare-and-swap documents** — :meth:`update_doc` loops GET →
   ``fn`` → conditional PUT (``If-Match`` on the read ETag, or
   ``If-None-Match: *`` for creation) until the PUT lands, which gives the
-  shared-manifest claim protocol lock-free mutual exclusion: of two
-  workers racing on one claim document, exactly one PUT succeeds and the
-  loser re-derives its claims from the winner's text.
+  work queue and the shared manifest lock-free mutual exclusion: of two
+  workers racing on one queue document, exactly one PUT succeeds and the
+  loser re-derives its pull from the winner's text.
 - **Record/blob parity with the disk store** — record bytes are produced
   and validated by the same codec as :class:`~repro.exec.store.DiskStore`
   (corrupt or schema-incompatible records are evicted server-side and
@@ -115,7 +115,7 @@ class ObjectStoreBackend(StoreBackend):
     retry_backoff:
         Base sleep of the exponential backoff; every retry sleeps
         ``backoff * 2**attempt`` plus up to 100% random jitter, so a
-        thundering herd of shard workers decorrelates instead of
+        thundering herd of benchmark workers decorrelates instead of
         hammering the server in lockstep.
     cas_attempts:
         Bound on :meth:`update_doc` compare-and-swap rounds; exceeding it

@@ -3,12 +3,12 @@
 A deliberately small HTTP server speaking the protocol
 :class:`~repro.store.objectstore.ObjectStoreBackend` expects, so cloud
 shards with **no shared filesystem** can still share one evaluation
-store, one blob vault and one run manifest.  Three object families, three
-URL prefixes::
+store, one blob vault, one run manifest and its work queue.  Three object
+families, three URL prefixes::
 
     GET/HEAD/PUT/DELETE  /records/<digest>   immutable JSON records
     GET/HEAD/PUT/DELETE  /blobs/<digest>     immutable ``.npy`` blobs
-    GET/HEAD/PUT/DELETE  /docs/<name>        mutable documents (manifests)
+    GET/HEAD/PUT/DELETE  /docs/<name>        mutable documents (manifests, queues)
     GET                  /healthz            object counts, for smoke tests
 
 Semantics:
@@ -18,7 +18,7 @@ Semantics:
 - **Conditional PUT** on documents: ``If-Match: "<etag>"`` succeeds only
   against exactly that stored content, ``If-None-Match: *`` only against
   absence; anything else is ``412 Precondition Failed``.  This is the
-  compare-and-swap the shared-manifest claim protocol runs on — the
+  compare-and-swap the work queue and the shared manifest run on — the
   object-store replacement for ``flock``.
 - Records and blobs are content-addressed and therefore idempotent:
   concurrent PUTs of one digest publish identical bytes, last write wins

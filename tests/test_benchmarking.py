@@ -1,7 +1,6 @@
 """Tests for the benchmark runner, result containers and report rendering."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -13,17 +12,14 @@ from repro.benchmarking import (
     ManifestMismatchError,
     ManifestMismatchWarning,
     RunManifest,
-    ShardCoordinator,
     SharedManifest,
     autoai_toolkit_factories,
     internal_pipeline_factories,
-    parse_shard_spec,
     profile_multivariate_datasets,
     profile_univariate_datasets,
     render_average_rank_figure,
     render_detail_table,
     render_rank_histogram,
-    render_shard_provenance,
     sota_toolkit_factories,
     suite_fingerprint,
 )
@@ -309,84 +305,11 @@ class TestStrictResume:
         assert resumed.from_cache_count() == len(resumed.runs)
 
 
-class TestShardCoordinator:
-    def test_partition_is_disjoint_and_exhaustive(self):
-        coordinator = ShardCoordinator(_toy_datasets(), _toy_toolkits(), n_shards=3)
-        shards = [coordinator.cells(i) for i in range(3)]
-        flattened = [cell for shard in shards for cell in shard]
-        assert len(flattened) == len(set(flattened)) == len(coordinator.all_cells)
-        assert set(flattened) == set(coordinator.all_cells)
-
-    def test_round_robin_balances_cells(self):
-        datasets = {f"d{i}": np.arange(50.0) for i in range(5)}
-        coordinator = ShardCoordinator(datasets, _toy_toolkits(), n_shards=3)
-        sizes = [len(coordinator.cells(i)) for i in range(3)]
-        assert max(sizes) - min(sizes) <= 1
-        # Consecutive cells of one dataset land on different shards.
-        first = coordinator.cells(0)
-        assert ("d0", "Zero") in first and ("d0", "Drift") not in first
-
-    def test_surplus_shards_get_empty_slices(self):
-        coordinator = ShardCoordinator({"only": np.arange(40.0)}, {"Zero": None}, n_shards=4)
-        assert coordinator.cells(0) == [("only", "Zero")]
-        assert coordinator.cells(3) == []
-
-    def test_parse_shard_spec(self):
-        assert parse_shard_spec("1/2") == (0, 2)
-        assert parse_shard_spec("4/4") == (3, 4)
-        for bad in ("0/2", "3/2", "x/2", "1", "1/2/3"):
-            with pytest.raises(ValueError):
-                parse_shard_spec(bad)
-
-    def test_describe_and_invalid_index(self):
-        coordinator = ShardCoordinator(_toy_datasets(), _toy_toolkits(), n_shards=2)
-        assert "shard 1/2" in coordinator.describe()
-        with pytest.raises(ValueError):
-            coordinator.cells(2)
-
-
 class TestSharedManifestProtocol:
-    def test_claims_are_disjoint_under_contention(self, tmp_path):
-        path = tmp_path / "m.json"
-        alpha = SharedManifest(path, "fp", worker="alpha")
-        beta = SharedManifest(path, "fp", worker="beta")
-        cells = [("d1", "t1"), ("d1", "t2"), ("d2", "t1")]
-        got_alpha = alpha.claim(cells)
-        got_beta = beta.claim(cells)
-        assert got_alpha == set(cells)
-        assert got_beta == set()
-
-    def test_same_worker_name_cannot_double_claim(self, tmp_path):
-        """Worker names are labels, not credentials: a second worker
-        accidentally launched with the same --worker-id must be denied."""
-        path = tmp_path / "m.json"
-        first = SharedManifest(path, "fp", worker="nodeA")
-        second = SharedManifest(path, "fp", worker="nodeA")
-        assert first.claim([("d1", "t1")]) == {("d1", "t1")}
-        assert second.claim([("d1", "t1")]) == set()
-        # The object that holds the grant can re-claim it (idempotent).
-        assert first.claim([("d1", "t1")]) == {("d1", "t1")}
-
-    def test_recorded_cells_are_not_claimable(self, tmp_path):
-        path = tmp_path / "m.json"
-        alpha = SharedManifest(path, "fp", worker="alpha")
-        alpha.record(ToolkitRun("t1", "d1", smape=1.0, train_seconds=0.1))
-        alpha.flush()
-        beta = SharedManifest(path, "fp", worker="beta")
-        assert beta.claim([("d1", "t1"), ("d1", "t2")]) == {("d1", "t2")}
-
-    def test_release_claims_frees_cells(self, tmp_path):
-        path = tmp_path / "m.json"
-        alpha = SharedManifest(path, "fp", worker="alpha")
-        alpha.claim([("d1", "t1")])
-        alpha.release_claims([("d1", "t1")])
-        beta = SharedManifest(path, "fp", worker="beta")
-        assert beta.claim([("d1", "t1")]) == {("d1", "t1")}
-
     def test_flush_merges_instead_of_clobbering(self, tmp_path):
         path = tmp_path / "m.json"
-        alpha = SharedManifest(path, "fp", worker="alpha")
-        beta = SharedManifest(path, "fp", worker="beta")
+        alpha = SharedManifest(path, "fp")
+        beta = SharedManifest(path, "fp")
         alpha.record(ToolkitRun("t1", "d1", smape=1.0, train_seconds=0.1))
         beta.record(ToolkitRun("t2", "d1", smape=2.0, train_seconds=0.2))
         alpha.flush()
@@ -394,315 +317,71 @@ class TestSharedManifestProtocol:
         record = json.loads(path.read_text(encoding="utf-8"))
         assert len(record["cells"]) == 2
 
-    def test_provenance_reports_claim_owners(self, tmp_path):
-        path = tmp_path / "m.json"
-        alpha = SharedManifest(path, "fp", worker="alpha")
-        alpha.claim([("d1", "t1"), ("d2", "t1")])
-        beta = SharedManifest(path, "fp", worker="beta")
-        beta.claim([("d1", "t2")])
-        provenance = beta.provenance()
-        assert provenance[("d1", "t1")] == "alpha"
-        assert provenance[("d1", "t2")] == "beta"
-        footnote = render_shard_provenance(provenance)
-        assert "alpha: 2 cells" in footnote and "beta: 1 cells" in footnote
-
-    def test_manifest_stays_byte_identical_to_unsharded(self, tmp_path):
-        """Provenance lives in the sidecar; the manifest must not differ."""
-        plain_path = tmp_path / "plain.json"
-        shared_path = tmp_path / "shared.json"
-        run = ToolkitRun("t1", "d1", smape=1.5, train_seconds=0.25)
-        plain = RunManifest(plain_path, "fp", spec={"horizon": 6})
-        plain.record(run)
-        plain.flush()
-        shared = SharedManifest(shared_path, "fp", spec={"horizon": 6}, worker="alpha")
-        shared.claim([("d1", "t1")])
-        shared.record(run)
-        shared.flush()
-        assert plain_path.read_bytes() == shared_path.read_bytes()
-
-
-def _age_claims(manifest: SharedManifest, seconds: float) -> None:
-    """Rewind every timestamp in the claim sidecar by ``seconds``."""
-    record = json.loads(manifest.claims_path.read_text(encoding="utf-8"))
-    for claim in record["claims"]:
-        for field in ("claimed_at", "heartbeat"):
-            if field in claim:
-                claim[field] -= seconds
-    manifest.claims_path.write_text(json.dumps(record), encoding="utf-8")
-
-
-class TestStaleClaimRecovery:
-    def test_stale_claim_is_reclaimable_with_threshold(self, tmp_path):
-        path = tmp_path / "m.json"
-        dead = SharedManifest(path, "fp", worker="dead")
-        assert dead.claim([("d1", "t1")]) == {("d1", "t1")}
-        _age_claims(dead, 3600.0)  # the worker "died" an hour ago
-        rescuer = SharedManifest(path, "fp", worker="rescuer", reclaim_stale=60.0)
-        assert rescuer.claim([("d1", "t1")]) == {("d1", "t1")}
-        # Takeover is recorded: one claim, ours, naming the dead owner.
-        record = json.loads(rescuer.claims_path.read_text(encoding="utf-8"))
-        assert len(record["claims"]) == 1
-        assert record["claims"][0]["worker"] == "rescuer"
-        assert record["claims"][0]["reclaimed_from"] == "dead"
-
-    def test_without_threshold_stale_claims_stay_blocked(self, tmp_path):
-        path = tmp_path / "m.json"
-        dead = SharedManifest(path, "fp", worker="dead")
-        dead.claim([("d1", "t1")])
-        _age_claims(dead, 3600.0)
-        conservative = SharedManifest(path, "fp", worker="peer")
-        assert conservative.claim([("d1", "t1")]) == set()
-
-    def test_fresh_claims_are_never_stolen(self, tmp_path):
-        path = tmp_path / "m.json"
-        alive = SharedManifest(path, "fp", worker="alive")
-        alive.claim([("d1", "t1")])
-        eager = SharedManifest(path, "fp", worker="eager", reclaim_stale=60.0)
-        assert eager.claim([("d1", "t1")]) == set()
-
-    def test_heartbeat_keeps_a_slow_worker_alive(self, tmp_path):
-        path = tmp_path / "m.json"
-        slow = SharedManifest(path, "fp", worker="slow")
-        slow.claim([("d1", "t1")])
-        _age_claims(slow, 3600.0)
-        slow.heartbeat()  # still alive: refreshes the liveness timestamp
-        record = json.loads(slow.claims_path.read_text(encoding="utf-8"))
-        assert record["claims"][0]["heartbeat"] > record["claims"][0]["claimed_at"]
-        rescuer = SharedManifest(path, "fp", worker="rescuer", reclaim_stale=60.0)
-        assert rescuer.claim([("d1", "t1")]) == set()
-
-    def test_runner_heartbeats_its_claims_at_checkpoints(self, tmp_path):
-        path = tmp_path / "m.json"
-        runner = BenchmarkRunner(
-            horizon=4, manifest_path=str(path), worker_id="beater"
-        )
-        runner.run(_toy_datasets(), _toy_toolkits())
-        record = json.loads((tmp_path / "m.json.claims.json").read_text())
-        assert record["claims"], "worker left no claim records"
-        assert all("heartbeat" in claim for claim in record["claims"])
-
-    def test_dead_workers_cells_recomputed_end_to_end(self, tmp_path):
-        """The ROADMAP scenario: a SIGKILLed worker must not wedge the run."""
-        path = tmp_path / "m.json"
-        spec_datasets, spec_toolkits = _toy_datasets(), _toy_toolkits()
-        fingerprint = suite_fingerprint(
-            {k: np.asarray(v, dtype=float) for k, v in spec_datasets.items()},
-            spec_toolkits,
-            horizon=4,
-            train_fraction=0.8,
-            evaluation_window=None,
-        )
-        # A worker claims every cell and "dies" without releasing anything.
-        dead = SharedManifest(path, fingerprint, worker="dead")
-        dead.claim([(d, t) for d in spec_datasets for t in spec_toolkits])
-        _age_claims(dead, 3600.0)
-
-        blocked = BenchmarkRunner(
-            horizon=4, manifest_path=str(path), worker_id="survivor"
-        ).run(spec_datasets, spec_toolkits)
-        assert len(blocked.runs) == 0  # conservative default: still wedged
-
-        rescued = BenchmarkRunner(
-            horizon=4,
-            manifest_path=str(path),
-            worker_id="survivor",
-            reclaim_stale=60.0,
-        ).run(spec_datasets, spec_toolkits)
-        assert len(rescued.runs) == len(spec_datasets) * len(spec_toolkits)
-        assert not any(run.failed for run in rescued.runs)
-
-
-class _CountingForecaster(ZeroModelForecaster):
-    """Forecaster that logs every fit as ``(toolkit label, dataset marker)``.
-
-    The dataset is identified by the first training value, which the shard
-    tests make unique per dataset — giving a cross-thread execution ledger
-    without the task needing to know its matrix cell.
-    """
-
-    executions: list = []
-    _lock = threading.Lock()
-
-    def __init__(self, label: str = "", horizon: int = 1):
-        super().__init__(horizon=horizon)
-        self.label = label
-
-    def fit(self, X, y=None):
-        marker = float(np.asarray(X, dtype=float).reshape(len(X), -1)[0, 0])
-        with self._lock:
-            _CountingForecaster.executions.append((self.label, marker))
-        return super().fit(X, y)
-
-
-def _marked_datasets():
-    """Three series whose first values are unique dataset markers."""
-    t = np.arange(120.0)
-    return {
-        "alpha": 100.0 + 0.5 * t,
-        "beta": 200.0 + np.sin(t / 9.0),
-        "gamma": 300.0 + 0.1 * t + np.cos(t / 5.0),
-    }
-
-
-_MARKERS = {100.0: "alpha", 200.0: "beta", 301.0: "gamma"}
-
-
-def _counting_toolkits():
-    return {
-        "Zero": lambda horizon: _CountingForecaster(label="Zero", horizon=horizon),
-        "Count": lambda horizon: _CountingForecaster(label="Count", horizon=horizon),
-    }
-
-
-def _execution_ledger() -> dict:
-    ledger: dict = {}
-    for label, marker in _CountingForecaster.executions:
-        cell = (_MARKERS[marker], label)
-        ledger[cell] = ledger.get(cell, 0) + 1
-    return ledger
-
-
-def _normalized_manifest(path) -> dict:
-    """Manifest document with the wall-clock measurements zeroed.
-
-    Train seconds are measurements of *this machine right now*, not facts
-    of the suite, so byte-level comparisons of two runs normalize them.
-    """
-    record = json.loads(open(path, encoding="utf-8").read())
-    for cell in record.get("cells", []):
-        cell["train_seconds"] = 0.0
-    return record
-
 
 class TestShardedExecution:
-    def _run_worker(self, manifest_path, cells, worker_id, errors):
-        try:
-            runner = BenchmarkRunner(
-                horizon=6, manifest_path=str(manifest_path), worker_id=worker_id
-            )
-            runner.run(_marked_datasets(), _counting_toolkits(), cells=cells)
-        except Exception as exc:  # noqa: BLE001 - surfaced by the test body
-            errors.append(exc)
-
-    def test_two_concurrent_workers_cover_the_matrix_exactly_once(self, tmp_path):
-        """Acceptance: no lost cells, no double-run cells, identical summary."""
-        single = BenchmarkRunner(
-            horizon=6, manifest_path=str(tmp_path / "single.json")
-        ).run(_marked_datasets(), _counting_toolkits())
-        _CountingForecaster.executions.clear()
-
-        manifest_path = tmp_path / "sharded.json"
-        coordinator = ShardCoordinator(_marked_datasets(), _counting_toolkits(), 2)
-        errors: list = []
-        workers = [
-            threading.Thread(
-                target=self._run_worker,
-                args=(manifest_path, coordinator.cells(i), f"shard-{i + 1}/2", errors),
-            )
-            for i in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert not errors
-
-        # Every cell ran exactly once, across both workers.
-        ledger = _execution_ledger()
-        assert set(ledger) == set(coordinator.all_cells)
-        assert all(count == 1 for count in ledger.values())
-
-        # The merge invocation is served entirely from the shared manifest
-        # and reproduces the single-process summary.
-        merged = BenchmarkRunner(horizon=6, manifest_path=str(manifest_path)).run(
-            _marked_datasets(), _counting_toolkits()
-        )
-        assert merged.from_cache_count() == len(merged.runs) == 6
-        assert _summary_view(merged) == _summary_view(single)
-        assert merged.smape_table() == single.smape_table()
-
-        # And the merged manifest is the single-process manifest, byte for
-        # byte, once the wall-clock measurements are normalized.
-        sharded_doc = _normalized_manifest(manifest_path)
-        single_doc = _normalized_manifest(tmp_path / "single.json")
-        assert sharded_doc == single_doc
-
-    def test_overlapping_workers_never_double_run(self, tmp_path):
-        """Claims arbitrate when both workers are handed the full matrix."""
-        _CountingForecaster.executions.clear()
-        manifest_path = tmp_path / "contended.json"
-        all_cells = ShardCoordinator(_marked_datasets(), _counting_toolkits(), 1).cells(0)
-        errors: list = []
-        workers = [
-            threading.Thread(
-                target=self._run_worker,
-                args=(manifest_path, list(all_cells), f"worker-{i}", errors),
-            )
-            for i in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert not errors
-        ledger = _execution_ledger()
-        assert set(ledger) == set(all_cells)
-        assert all(count == 1 for count in ledger.values())
-
-    def test_worker_results_cover_only_owned_cells(self, tmp_path):
-        _CountingForecaster.executions.clear()
-        manifest_path = tmp_path / "m.json"
-        coordinator = ShardCoordinator(_marked_datasets(), _counting_toolkits(), 2)
-        runner = BenchmarkRunner(
-            horizon=6, manifest_path=str(manifest_path), worker_id="shard-1/2"
-        )
-        results = runner.run(
-            _marked_datasets(), _counting_toolkits(), cells=coordinator.cells(0)
-        )
-        assert len(results.runs) == len(coordinator.cells(0)) == 3
-        assert {(r.dataset, r.toolkit) for r in results.runs} == set(coordinator.cells(0))
-
-    def test_worker_id_requires_manifest(self):
+    def test_worker_id_and_reclaim_stale_require_steal(self, tmp_path):
         from repro.exceptions import InvalidParameterError
 
-        with pytest.raises(InvalidParameterError):
-            BenchmarkRunner(horizon=6, worker_id="shard-1/2")
-
-    def test_transient_failures_release_claims_for_retry(self, tmp_path):
-        """A crashed-worker cell must be reclaimable by a different worker."""
         manifest_path = str(tmp_path / "m.json")
-        crashed = BenchmarkRunner(
+        with pytest.raises(InvalidParameterError, match="steal"):
+            BenchmarkRunner(horizon=6, manifest_path=manifest_path, worker_id="w1")
+        with pytest.raises(InvalidParameterError, match="steal"):
+            BenchmarkRunner(horizon=6, manifest_path=manifest_path, reclaim_stale=60.0)
+        with pytest.raises(InvalidParameterError, match="manifest_path"):
+            BenchmarkRunner(horizon=6, worker_id="w1", steal=True)
+        BenchmarkRunner(
             horizon=6,
             manifest_path=manifest_path,
-            worker_id="worker-a",
-            executor=_CrashingExecutor(),
-        ).run(_toy_datasets(), _toy_toolkits())
-        assert all(run.failed for run in crashed.runs)
-
-        retried = BenchmarkRunner(
-            horizon=6, manifest_path=manifest_path, worker_id="worker-b"
-        ).run(_toy_datasets(), _toy_toolkits())
-        assert len(retried.runs) == 4  # worker-b could claim every cell
-        assert not any(run.failed for run in retried.runs)
+            worker_id="w1",
+            reclaim_stale=60.0,
+            steal=True,
+        )
 
     def test_interrupted_worker_releases_unfinished_claims(self, tmp_path):
-        """An exception mid-run must not wedge the unfinished cells."""
+        """An exception mid-run must hand the worker's leases back."""
         manifest_path = str(tmp_path / "m.json")
         interrupted = BenchmarkRunner(
             horizon=6,
             manifest_path=manifest_path,
             worker_id="worker-a",
+            steal=True,
             executor=_InterruptingExecutor(fail_after=2),
         )
         with pytest.raises(RuntimeError, match="simulated interruption"):
             interrupted.run(_toy_datasets(), _toy_toolkits())
+        assert interrupted.last_queue_.counts()["running"] == 0
 
-        finished = BenchmarkRunner(
-            horizon=6, manifest_path=manifest_path, worker_id="worker-b"
-        ).run(_toy_datasets(), _toy_toolkits())
-        assert len(finished.runs) == 4  # nothing left wedged behind a claim
+        # No reclaim_stale: the peer finishes only if nothing was stranded.
+        peer = BenchmarkRunner(
+            horizon=6, manifest_path=manifest_path, worker_id="worker-b", steal=True
+        )
+        finished = peer.run(_toy_datasets(), _toy_toolkits())
+        assert len(finished.runs) == 4  # nothing left wedged behind a lease
         assert not any(run.failed for run in finished.runs)
         assert 0 < finished.from_cache_count() < 4  # worker-a's cells reused
+        assert peer.last_queue_.counts() == {
+            "pending": 0,
+            "running": 0,
+            "done": 4,
+            "abandoned": 0,
+        }
+
+    def test_keyboard_interrupt_requeues_leases(self, tmp_path):
+        class _CtrlC(SerialExecutor):
+            def map_tasks(self, fn, tasks, timeout=None, deadline=None):
+                raise KeyboardInterrupt
+
+        runner = BenchmarkRunner(
+            horizon=6, manifest_path=str(tmp_path / "m.json"), steal=True, executor=_CtrlC()
+        )
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(_toy_datasets(), _toy_toolkits())
+        assert runner.last_queue_.counts() == {
+            "pending": 4,
+            "running": 0,
+            "done": 0,
+            "abandoned": 0,
+        }
 
 
 class TestBenchmarkCli:
@@ -725,25 +404,28 @@ class TestBenchmarkCli:
         from repro.benchmarking.__main__ import main
 
         manifest = str(tmp_path / "manifest.json")
-        for shard in ("1/2", "2/2"):
+        for worker in ("w1", "w2"):
             code = main(
-                ["--worker", "--shard", shard, "--manifest", manifest, "--quiet",
-                 "--worker-id", f"shard-{shard}"]
+                ["--steal", "--manifest", manifest, "--quiet", "--worker-id", worker]
             )
             assert code == 0
         merged_json = str(tmp_path / "merged.json")
         assert main(["--manifest", manifest, "--resume", "--quiet", "--json", merged_json]) == 0
         merged = json.loads(open(merged_json).read())
         assert merged["from_manifest"] == merged["cells"] == 12  # 4 datasets x 3 toolkits
-        assert merged["workers"] == ["shard-1/2", "shard-2/2"]
+        assert "shard" not in merged
+        # Run one after the other, the first worker drains the whole queue.
+        assert merged["workers"] == ["w1"]
         assert "Shard provenance" in capsys.readouterr().out
 
-    def test_worker_flag_requires_shard(self, capsys):
+    def test_worker_id_requires_steal(self, tmp_path, capsys):
         from repro.benchmarking.__main__ import main
 
-        assert main(["--worker", "--quiet"]) == 2
-        assert main(["--shard", "3/2", "--quiet"]) == 2
-        assert main(["--shard", "1/2", "--quiet"]) == 2  # no --manifest
+        manifest = str(tmp_path / "manifest.json")
+        assert main(["--worker-id", "w1", "--manifest", manifest, "--quiet"]) == 2
+        assert main(["--reclaim-stale", "60", "--manifest", manifest, "--quiet"]) == 2
+        assert "--steal" in capsys.readouterr().err
+        assert main(["--steal", "--quiet"]) == 2  # no --manifest
 
     def test_failed_cells_exit_nonzero_with_summary(self, tmp_path, monkeypatch, capsys):
         """Regression: CI shard jobs must be able to gate on the exit code."""

@@ -2,8 +2,8 @@
 
 Each test drives the same tiny benchmark matrix under one deterministic
 :class:`~repro.faults.FaultPlan` — a worker crashing mid-task, a store
-brown-out, corrupt blob bytes, a stalled lane, a partition eating a
-conditional PUT's ack, a worker dying between claim and checkpoint — and
+brown-out, corrupt blob bytes, a stalled lane, a partition eating the ack
+of a work-queue write, a worker dying between queue pull and checkpoint — and
 asserts the recovery machinery heals the run completely: the resulting
 manifest is byte-identical to the fault-free reference (after zeroing
 the wall-clock ``train_seconds`` timings, as every cross-run comparison
@@ -208,36 +208,45 @@ class TestChaosMatrix:
         finally:
             server.close()
 
-    def test_partition_during_shard_claim(self, tmp_path, store_server, reference):
-        """Plan 5: the ack of the claim sidecar's conditional PUT is lost;
-        the CAS loop re-reads and the token re-grants idempotently."""
+    def test_partition_during_queue_pull(self, tmp_path, store_server, reference):
+        """Plan 5: the ack of a work-queue conditional PUT is lost after the
+        seed; the CAS loop re-reads and the token re-grants idempotently."""
         faults.install_plan(
             FaultPlan.of(
-                FaultRule(site="store.server.doc_put", action="drop", count=1),
-                name="partition-during-claim",
+                FaultRule(
+                    site="store.server.doc_put",
+                    action="drop",
+                    match="queue.json",
+                    after=1,
+                ),
+                name="partition-during-pull",
             )
         )
         backend = ObjectStoreBackend(
             store_server.url,
             retry_policy=RetryPolicy(attempts=4, base_backoff=0.01, max_backoff=0.05),
         )
-        BenchmarkRunner(
+        runner = BenchmarkRunner(
             horizon=HORIZON,
             manifest_path="chaos.json",
             store=backend,
             worker_id="chaos-worker",
+            steal=True,
             verbose=False,
-        ).run(_datasets(), _toolkits())
+        )
+        runner.run(_datasets(), _toolkits())
+        assert faults.active_injector().stats()["store.server.doc_put:drop[0]"]["fired"] == 1
         assert _normalized(backend.read_doc("chaos.json")) == reference
+        assert runner.last_queue_.counts()["done"] == 6
 
     def test_death_between_claim_and_checkpoint(self, tmp_path, store_server, reference):
-        """Plan 6: a worker dies after persisting claims but before
-        learning about them; a reclaiming peer takes the cells over."""
+        """Plan 6: a worker dies after persisting queue leases but before
+        running them; a reclaiming peer takes the cells over."""
         backend_url = store_server.url
         faults.install_plan(
             FaultPlan.of(
-                FaultRule(site="manifest.claim", action="error", match="doomed"),
-                name="death-after-claim",
+                FaultRule(site="queue.pull", action="error", match="doomed"),
+                name="death-after-pull",
             )
         )
         doomed = BenchmarkRunner(
@@ -245,34 +254,38 @@ class TestChaosMatrix:
             manifest_path="chaos.json",
             store=ObjectStoreBackend(backend_url),
             worker_id="doomed",
+            steal=True,
             verbose=False,
         )
         with pytest.raises(InjectedFault):
             doomed.run(_datasets(), _toolkits())
-        # The grants are durable but orphaned: nothing released them.
+        # The grants are durable but orphaned: nothing requeued them.
         backend = ObjectStoreBackend(backend_url)
-        sidecar = json.loads(backend.read_doc("chaos.json.claims.json"))
-        assert len(sidecar["claims"]) == 6
+        queue = json.loads(backend.read_doc("chaos.json.queue.json"))
+        running = [entry for entry in queue["entries"] if entry["state"] == "running"]
+        assert running and {entry["worker"] for entry in running} == {"doomed"}
         # Age them out and let a rescuer reclaim and finish the matrix.
-        for claim in sidecar["claims"]:
-            for field in ("claimed_at", "heartbeat"):
-                if field in claim:
-                    claim[field] -= 3600.0
-        backend.write_doc("chaos.json.claims.json", json.dumps(sidecar))
+        for entry in running:
+            entry["claimed_at"] -= 3600.0
+            entry["heartbeat"] -= 3600.0
+        backend.write_doc("chaos.json.queue.json", json.dumps(queue))
         faults.clear_plan()
         BenchmarkRunner(
             horizon=HORIZON,
             manifest_path="chaos.json",
             store=backend,
             worker_id="rescuer",
+            steal=True,
             reclaim_stale=60.0,
             verbose=False,
         ).run(_datasets(), _toolkits())
         assert _normalized(backend.read_doc("chaos.json")) == reference
-        provenance = json.loads(backend.read_doc("chaos.json.claims.json"))
-        assert {claim["worker"] for claim in provenance["claims"]} == {"rescuer"}
-        assert all(
-            claim.get("reclaimed_from") == "doomed" for claim in provenance["claims"]
+        events = json.loads(backend.read_doc("chaos.json.queue.json"))["events"]
+        assert any(
+            event.get("kind") == "steal"
+            and event.get("mode") == "reclaim"
+            and event.get("from") == "doomed"
+            for event in events
         )
 
     def test_fault_free_run_with_inert_plan_matches_reference(self, tmp_path, reference):

@@ -4,12 +4,11 @@ Covers the frame package end to end: in-RAM construction and dictionary
 encoding, zero-copy views, spill/load round-trips through both store
 backends, the per-column ``FrameRef`` register/resolve path (including
 the no-copy regression assertions), fingerprint equality across every
-residence (the cache-key invariant), the ``frame.chunk_read`` fault seam
-healing torn and corrupt reads, and the engine feature gate's fallback.
+residence (the cache-key invariant), and the ``frame.chunk_read`` fault
+seam healing torn and corrupt reads.
 """
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from repro.frame import (
     load_frame,
     spill_frame,
 )
-from repro.frame.engine import ENGINE_ENV, active_engine
 from repro.hybrid.window_regressor import WindowRegressor
 from repro.ml import StreamingRidge
 from repro.ml.linear import RidgeRegression
@@ -335,40 +333,6 @@ class TestFrameRefDataPlane:
         with DataPlane() as plane:
             assert plane.register_frame(spilled) is spilled
             assert resolve_payload(spilled) is spilled
-
-
-class TestEngineGate:
-    def test_default_engine_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert active_engine() == "numpy"
-
-    def test_unknown_engine_warns_once_and_falls_back(self, monkeypatch):
-        from repro.frame import engine
-
-        monkeypatch.setattr(engine, "_WARNED", set())
-        monkeypatch.setenv(ENGINE_ENV, "sqlite")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert active_engine() == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert active_engine() == "numpy"  # warned once, not twice
-
-    def test_missing_dependency_falls_back(self, monkeypatch):
-        from repro.frame import engine
-
-        monkeypatch.setattr(engine, "_WARNED", set())
-        monkeypatch.setenv(ENGINE_ENV, "duckdb")
-        has_duckdb = True
-        try:
-            import duckdb  # noqa: F401
-            import pyarrow  # noqa: F401
-        except ImportError:
-            has_duckdb = False
-        if has_duckdb:  # pragma: no cover - not in the default environment
-            assert active_engine() == "duckdb"
-        else:
-            with pytest.warns(RuntimeWarning, match="missing dependency"):
-                assert active_engine() == "numpy"
 
 
 class TestStreamingRidge:

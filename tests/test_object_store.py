@@ -2,14 +2,15 @@
 
 Covers the refactor's seams: backend parity (the local-filesystem and
 object-store backends must be observationally identical to every
-consumer), the conditional-PUT claim protocol, cross-backend manifest
-byte-identity for sharded runs, evaluation-cache reuse through a store
-URL, and blob spill shared between worker hosts.
+consumer), manifest merge-on-flush over conditional PUT, cross-backend
+manifest byte-identity for work-stealing runs, evaluation-cache reuse
+through a store URL, and blob spill shared between worker hosts.
 """
 
 import json
 import pickle
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,115 +298,23 @@ class TestObjectStoreBackend:
         assert status == 405
 
 
-def _age_remote_claims(manifest: SharedManifest, seconds: float) -> None:
-    """Rewind every timestamp in the claim sidecar document."""
-    record = json.loads(manifest.backend.read_doc(manifest.claims_doc))
-    for claim in record["claims"]:
-        for field in ("claimed_at", "heartbeat"):
-            if field in claim:
-                claim[field] -= seconds
-    manifest.backend.write_doc(manifest.claims_doc, json.dumps(record))
-
-
 class TestObjectStoreManifests:
-    """The shared-manifest protocol running on conditional PUT, not flock."""
+    """Shared-manifest merge-on-flush running on conditional PUT, not flock."""
 
-    def _manifest(self, store_server, worker, **kwargs) -> SharedManifest:
+    def _manifest(self, store_server) -> SharedManifest:
         return SharedManifest(
-            "runs/m.json",
-            "fp",
-            worker=worker,
-            backend=ObjectStoreBackend(store_server.url),
-            **kwargs,
+            "runs/m.json", "fp", backend=ObjectStoreBackend(store_server.url)
         )
 
-    def test_claims_are_disjoint_under_contention(self, store_server):
-        alpha = self._manifest(store_server, "alpha")
-        beta = self._manifest(store_server, "beta")
-        cells = [("d1", "t1"), ("d1", "t2"), ("d2", "t1")]
-        results: dict[str, set] = {}
-
-        def race(name, manifest):
-            results[name] = manifest.claim(cells)
-
-        threads = [
-            threading.Thread(target=race, args=("alpha", alpha)),
-            threading.Thread(target=race, args=("beta", beta)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results["alpha"] | results["beta"] == set(cells)
-        assert results["alpha"] & results["beta"] == set()
-
-    def test_claim_takeover_via_conditional_put(self, store_server):
-        """Satellite: the stale-claim takeover, arbitrated by CAS not flock."""
-        dead = self._manifest(store_server, "dead")
-        assert dead.claim([("d1", "t1")]) == {("d1", "t1")}
-        _age_remote_claims(dead, 3600.0)
-        rescuer = self._manifest(store_server, "rescuer", reclaim_stale=60.0)
-        assert rescuer.claim([("d1", "t1")]) == {("d1", "t1")}
-        record = json.loads(rescuer.backend.read_doc(rescuer.claims_doc))
-        assert len(record["claims"]) == 1
-        assert record["claims"][0]["worker"] == "rescuer"
-        assert record["claims"][0]["reclaimed_from"] == "dead"
-
-    def test_fresh_claims_are_never_stolen(self, store_server):
-        alive = self._manifest(store_server, "alive")
-        alive.claim([("d1", "t1")])
-        eager = self._manifest(store_server, "eager", reclaim_stale=60.0)
-        assert eager.claim([("d1", "t1")]) == set()
-
-    def test_heartbeat_keeps_a_slow_worker_alive(self, store_server):
-        slow = self._manifest(store_server, "slow")
-        slow.claim([("d1", "t1")])
-        _age_remote_claims(slow, 3600.0)
-        slow.heartbeat()
-        rescuer = self._manifest(store_server, "rescuer", reclaim_stale=60.0)
-        assert rescuer.claim([("d1", "t1")]) == set()
-
-    def test_recorded_cells_are_not_claimable(self, store_server):
-        alpha = self._manifest(store_server, "alpha")
-        alpha.record(ToolkitRun("t1", "d1", smape=1.0, train_seconds=0.1))
-        alpha.flush()
-        beta = self._manifest(store_server, "beta")
-        assert beta.claim([("d1", "t1"), ("d1", "t2")]) == {("d1", "t2")}
-
     def test_flush_merges_instead_of_clobbering(self, store_server):
-        alpha = self._manifest(store_server, "alpha")
-        beta = self._manifest(store_server, "beta")
+        alpha = self._manifest(store_server)
+        beta = self._manifest(store_server)
         alpha.record(ToolkitRun("t1", "d1", smape=1.0, train_seconds=0.1))
         beta.record(ToolkitRun("t2", "d1", smape=2.0, train_seconds=0.2))
         alpha.flush()
         beta.flush()  # must not lose alpha's cell
         record = json.loads(beta.backend.read_doc(beta.doc_name))
         assert len(record["cells"]) == 2
-
-    def test_release_claims_frees_cells(self, store_server):
-        alpha = self._manifest(store_server, "alpha")
-        alpha.claim([("d1", "t1")])
-        alpha.release_claims([("d1", "t1")])
-        beta = self._manifest(store_server, "beta")
-        assert beta.claim([("d1", "t1")]) == {("d1", "t1")}
-
-    def test_applied_but_unacknowledged_claim_is_regranted(self, store_server):
-        """A conditional PUT can be applied while its response is lost; the
-        retry re-runs the grant against a sidecar that already contains
-        this worker's entries.  The claim token must identify them as ours
-        — re-granted, not counted as a foreign worker's — or the cells
-        would be stranded: claimed by us, run by nobody."""
-        worker = self._manifest(store_server, "flaky")
-        assert worker.claim([("d1", "t1")]) == {("d1", "t1")}
-        # Simulate the lost acknowledgement: the sidecar holds the claim,
-        # but the worker never learned its grant succeeded.
-        worker._granted = set()
-        assert worker.claim([("d1", "t1")]) == {("d1", "t1")}
-        record = json.loads(worker.backend.read_doc(worker.claims_doc))
-        assert len(record["claims"]) == 1  # re-granted, not duplicated
-        # A *different* object with the same display name stays denied.
-        imposter = self._manifest(store_server, "flaky")
-        assert imposter.claim([("d1", "t1")]) == set()
 
     def test_manifest_doc_matches_local_file_byte_for_byte(
         self, store_server, tmp_path
@@ -419,10 +328,8 @@ class TestObjectStoreManifests:
             "remote.json",
             "fp",
             spec={"horizon": 6},
-            worker="alpha",
             backend=ObjectStoreBackend(store_server.url),
         )
-        remote.claim([("d1", "t1")])
         remote.record(run)
         remote.flush()
         assert (
@@ -454,8 +361,8 @@ def _normalized(text: str) -> dict:
 
 
 class TestShardedObjectStoreExecution:
-    """Acceptance: a sharded run sharing only an object store converges on
-    the single-process local-filesystem artifacts, byte for byte."""
+    """Acceptance: a multi-worker run sharing only an object store converges
+    on the single-process local-filesystem artifacts, byte for byte."""
 
     def test_two_workers_share_one_object_store(self, store_server, tmp_path):
         local_manifest = tmp_path / "local.json"
@@ -464,7 +371,6 @@ class TestShardedObjectStoreExecution:
         )
 
         backend = ObjectStoreBackend(store_server.url)
-        cells = [(d, t) for d in _toy_datasets() for t in _toy_toolkits()]
         errors: list = []
 
         def worker(index: int) -> None:
@@ -474,10 +380,9 @@ class TestShardedObjectStoreExecution:
                     manifest_path="shared.json",
                     store=ObjectStoreBackend(store_server.url),
                     worker_id=f"w{index}",
+                    steal=True,
                 )
-                runner.run(
-                    _toy_datasets(), _toy_toolkits(), cells=cells[index::2]
-                )
+                runner.run(_toy_datasets(), _toy_toolkits())
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -495,8 +400,9 @@ class TestShardedObjectStoreExecution:
         assert _normalized(remote_text) == _normalized(
             local_manifest.read_text(encoding="utf-8")
         )
-        # No manifest file leaked onto the local filesystem.
-        assert not (tmp_path / "shared.json").exists()
+        # No manifest or queue file leaked onto the local filesystem.
+        for leaked in ("shared.json", "shared.json.queue.json"):
+            assert not (tmp_path / leaked).exists() and not Path(leaked).exists()
 
         # A plain merge invocation resumes entirely from the store.
         merged = BenchmarkRunner(

@@ -7,7 +7,7 @@ serialization, site seams), and the healing behaviours they exist to
 exercise: the object-store transport absorbing injected faults and 503
 bursts, the circuit breaker degrading a down store to fast misses, lane
 reconnect and at-least-once task resubmission in the remote executor,
-and the concurrent stale-claim reclaim race.
+and the concurrent stale-lease reclaim race on the work queue.
 """
 
 import json
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.benchmarking import SharedManifest
+from repro.benchmarking import CellCostModel, CellQueue, entry_key
 from repro.exec import FitScoreTask, RemoteExecutor, run_fit_score_task
 from repro.exec.remote import WorkerServer
 from repro.faults import FaultInjector, FaultPlan, FaultRule, InjectedFault, garble
@@ -312,19 +312,23 @@ class TestStoreTransportHealing:
         assert loaded is not None and np.array_equal(loaded, array)
 
     def test_partition_during_conditional_put_grants_exactly_once(self, store_server):
+        queue = CellQueue(
+            "runs/m.json.queue.json",
+            "fp",
+            backend=ObjectStoreBackend(store_server.url, retry_policy=_FAST),
+            worker="solo",
+        )
+        queue.seed(_one_cell_plan())
         faults.install_plan(
             FaultPlan.of(FaultRule(site="store.server.doc_put", action="drop", count=1))
         )
-        manifest = SharedManifest(
-            "runs/m.json",
-            "fp",
-            worker="solo",
-            backend=ObjectStoreBackend(store_server.url, retry_policy=_FAST),
-        )
-        assert manifest.claim([("d1", "t1")]) == {("d1", "t1")}
-        record = json.loads(manifest.backend.read_doc(manifest.claims_doc))
-        assert len(record["claims"]) == 1  # applied once, despite the lost ack
-        assert record["claims"][0]["worker"] == "solo"
+        granted = queue.pull()
+        assert [entry_key(entry) for entry in granted] == [("d1", "t1", None)]
+        record = json.loads(queue.backend.read_doc(queue.doc_name))
+        running = [entry for entry in record["entries"] if entry["state"] == "running"]
+        assert len(running) == 1  # applied once, despite the lost ack
+        assert running[0]["worker"] == "solo"
+        assert queue.pull() == []  # and never granted twice
 
     def test_backend_pickles_without_runtime_state(self, store_server):
         import pickle
@@ -499,13 +503,20 @@ class TestRemoteHealing:
             server.close()
 
 
-def _age_claims(backend, doc_name: str, seconds: float) -> None:
-    """Rewind every timestamp in a claim sidecar document."""
+def _one_cell_plan() -> list[dict]:
+    toolkits = {"t1": None}
+    return CellCostModel({"d1": np.zeros(10)}, toolkits).plan_entries(
+        [("d1", "t1")], toolkits, split_threshold=None
+    )
+
+
+def _age_leases(backend, doc_name: str, seconds: float) -> None:
+    """Rewind every running lease in a queue document."""
     record = json.loads(backend.read_doc(doc_name))
-    for claim in record["claims"]:
-        for field in ("claimed_at", "heartbeat"):
-            if field in claim:
-                claim[field] -= seconds
+    for entry in record["entries"]:
+        if entry["state"] == "running":
+            entry["claimed_at"] -= seconds
+            entry["heartbeat"] -= seconds
     backend.write_doc(doc_name, json.dumps(record))
 
 
@@ -519,25 +530,30 @@ class TestConcurrentStaleReclaim:
             return LocalFSBackend(tmp_path / "local-root")
         return ObjectStoreBackend(store_server.url)
 
-    def _manifest(self, backend, tmp_path, worker, **kwargs) -> SharedManifest:
-        return SharedManifest(
-            str(tmp_path / "m.json"), "fp", worker=worker, backend=backend, **kwargs
+    def _queue(self, backend, tmp_path, worker, **kwargs) -> CellQueue:
+        return CellQueue(
+            str(tmp_path / "m.json.queue.json"),
+            "fp",
+            backend=backend,
+            worker=worker,
+            **kwargs,
         )
 
     def test_exactly_one_rescuer_wins_the_reclaim(self, backend, tmp_path):
-        dead = self._manifest(backend, tmp_path, "dead")
-        assert dead.claim([("d1", "t1")]) == {("d1", "t1")}
-        _age_claims(backend, dead.claims_doc, 3600.0)
+        dead = self._queue(backend, tmp_path, "dead")
+        dead.seed(_one_cell_plan())
+        assert len(dead.pull()) == 1
+        _age_leases(backend, dead.doc_name, 3600.0)
 
         barrier = threading.Barrier(2)
-        winners: dict[str, set] = {}
+        winners: dict[str, list] = {}
         errors: list = []
 
         def rescue(name: str) -> None:
             try:
-                manifest = self._manifest(backend, tmp_path, name, reclaim_stale=60.0)
+                queue = self._queue(backend, tmp_path, name, reclaim_stale=60.0)
                 barrier.wait(timeout=10.0)
-                winners[name] = manifest.claim([("d1", "t1")])
+                winners[name] = queue.pull()
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -547,13 +563,17 @@ class TestConcurrentStaleReclaim:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
         assert not errors
         grants = [grant for grant in winners.values() if grant]
-        assert len(grants) == 1 and grants[0] == {("d1", "t1")}
+        assert len(grants) == 1 and len(grants[0]) == 1
+        assert grants[0][0]["stolen_from"] == ["dead"]
 
-        record = json.loads(backend.read_doc(dead.claims_doc))
-        assert len(record["claims"]) == 1  # one rescuer's entry, no duplicates
+        record = json.loads(backend.read_doc(dead.doc_name))
         winner = next(name for name, grant in winners.items() if grant)
-        assert record["claims"][0]["worker"] == winner
-        assert record["claims"][0]["reclaimed_from"] == "dead"
+        (entry,) = record["entries"]
+        assert entry["worker"] == winner
+        assert entry["stolen_from"] == ["dead"]  # one takeover, no duplicates
+        steals = [event for event in record["events"] if event["kind"] == "steal"]
+        assert len(steals) == 1 and steals[0]["from"] == "dead"

@@ -421,6 +421,37 @@ class TestMicroBatcher:
         assert metrics["errors"] == 1
         assert metrics["completed"] == 1
 
+    def test_non_finite_slice_fails_only_its_request(self):
+        from repro.exceptions import NonFiniteForecastError
+
+        class Overflowing:
+            def predict(self, horizon):
+                rows = np.arange(1, horizon + 1, dtype=float).reshape(-1, 1)
+                rows[3:] = np.inf  # finite for the first three steps only
+                return rows
+
+        with ThreadPoolExecutor(2) as pool:
+            async def scenario():
+                batcher = MicroBatcher(
+                    resolve=lambda digest: Overflowing(),
+                    executor=pool,
+                    max_batch=2,
+                    max_delay_ms=60_000.0,  # both requests share one batch
+                )
+                short, long = await asyncio.gather(
+                    batcher.submit("d1", 3),
+                    batcher.submit("d1", 12),
+                    return_exceptions=True,
+                )
+                return short, long, batcher.metrics()["d1"]
+
+            short, long, metrics = _run(scenario())
+        assert short.forecast[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert short.batch_size == 2
+        assert isinstance(long, NonFiniteForecastError)
+        assert metrics["completed"] == 1
+        assert metrics["errors"] == 1
+
     def test_metrics_report_latency_percentiles(self):
         model = _CountingModel()
         with ThreadPoolExecutor(2) as pool:

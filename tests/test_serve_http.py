@@ -136,6 +136,25 @@ class TestPredictEndpoint:
         assert status == 200
         assert set(table) >= {"energy", "retail"}
 
+    def test_non_finite_forecast_is_a_500(self, serving):
+        from repro.forecasters.naive import DriftForecaster
+
+        ramp = np.linspace(1e306, 1.6e308, 60).reshape(-1, 1)
+        publish_model(DriftForecaster(horizon=12).fit(ramp), serving.backend, "overflow")
+        status, payload = _request(
+            serving.url, "POST", "/predict/overflow", {"horizon": 12}
+        )
+        assert status == 500
+        assert "NonFiniteForecastError" in payload["error"]
+        # The first steps stay below the float64 maximum and are served.
+        status, payload = _request(
+            serving.url, "POST", "/predict/overflow", {"horizon": 3}
+        )
+        assert status == 200
+        assert np.isfinite(payload["forecast"]).all()
+        _, metrics = _request(serving.url, "GET", "/metrics")
+        assert metrics["models"]["overflow"]["errors"] == 1
+
     def test_error_statuses(self, serving):
         assert _request(serving.url, "POST", "/predict/nope", {"horizon": 2})[0] == 404
         assert _request(serving.url, "POST", "/predict/energy", {"horizon": 0})[0] == 400

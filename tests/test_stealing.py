@@ -28,7 +28,6 @@ from repro.benchmarking import (
     split_factories,
 )
 from repro.benchmarking.costmodel import MAX_SPLIT_PARTS, project_cost_curve
-from repro.benchmarking.manifest import SharedManifest
 from repro.core import TDaub
 from repro.core.base import BaseForecaster
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
@@ -427,6 +426,8 @@ class TestCellQueue:
         fresh_rival = _queue(backend, "rival", queue_doc, reclaim_stale=1000.0)
         assert fresh_rival.pull() == []  # a fresh lease is never stolen
         _age_entries(backend, victim.doc_name, 30.0)
+        conservative = _queue(backend, "peer", queue_doc)
+        assert conservative.pull() == []  # no threshold: aged leases stay blocked
         rival = _queue(backend, "rival", queue_doc, reclaim_stale=0.5)
         stolen = rival.pull()
         assert [entry_key(e) for e in stolen] == [entry_key(held)]
@@ -469,6 +470,8 @@ class TestCellQueue:
         again = queue.pull()
         assert [entry_key(e) for e in again] == [entry_key(entry)]
         assert again[0]["attempts"] == entry["attempts"]  # adopted, not re-leased
+        # Names are labels, not credentials: a same-named imposter is denied.
+        assert _queue(backend, "w", queue_doc).pull() == []
 
     def test_beacon_refreshes_heartbeat_and_refines_cost(self, backend, queue_doc):
         queue = _queue(backend, "w", queue_doc)
@@ -504,43 +507,6 @@ class TestCellQueue:
 
 def _settled(queue: CellQueue, kind: str) -> list[dict]:
     return [e for e in queue.snapshot()["entries"] if e["kind"] == kind]
-
-
-# -- manifest heartbeat beacon -------------------------------------------------
-
-
-class TestManifestBeacon:
-    def test_beacon_keeps_claims_fresh_through_long_cells(self, backend, tmp_path):
-        doc = _doc(backend, tmp_path, "m.json")
-        holder = SharedManifest(doc, "fp", worker="holder", backend=backend)
-        granted = holder.claim([("d", "t")])
-        assert granted == {("d", "t")}
-        # Backdate the claim as if the worker went quiet mid-cell.
-        record = json.loads(backend.read_doc(holder.claims_doc))
-        stale = time.time() - 30.0
-        for claim in record["claims"]:
-            claim["claimed_at"] = stale
-            claim["heartbeat"] = stale
-        backend.update_doc(holder.claims_doc, lambda _text: json.dumps(record))
-        beacon = holder.beacon(interval=0.0)
-        beacon()
-        rival = SharedManifest(
-            doc, "fp", worker="rival", backend=backend, reclaim_stale=10.0
-        )
-        assert rival.claim([("d", "t")]) == set()  # beacon kept the claim live
-
-    def test_beacon_is_picklable_and_throttled(self, backend, tmp_path):
-        import pickle
-
-        doc = _doc(backend, tmp_path, "m.json")
-        holder = SharedManifest(doc, "fp", worker="holder", backend=backend)
-        holder.claim([("d", "t")])
-        beacon = pickle.loads(pickle.dumps(holder.beacon(interval=5.0)))
-        beacon()
-        stamp = json.loads(backend.read_doc(holder.claims_doc))["claims"][0]["heartbeat"]
-        beacon()  # throttled: within interval, no second write
-        again = json.loads(backend.read_doc(holder.claims_doc))["claims"][0]["heartbeat"]
-        assert again == stamp
 
 
 # -- T-Daub cost projection ----------------------------------------------------
@@ -616,15 +582,6 @@ class TestStealingRunner:
         queue = runner.last_queue_
         assert queue.counts() == {"pending": 0, "running": 0, "done": 6, "abandoned": 0}
         assert set(queue.provenance().values()) == {"solo"}
-
-    def test_steal_rejects_explicit_cells(self, tmp_path):
-        from repro.exceptions import InvalidParameterError
-
-        runner = BenchmarkRunner(
-            horizon=4, manifest_path=str(tmp_path / "m.json"), steal=True
-        )
-        with pytest.raises(InvalidParameterError):
-            runner.run(_suite(), {"drift": _drift}, cells=[("long", "drift")])
 
     def test_split_cell_merge_is_deterministic(self, backend, tmp_path):
         datasets = _suite()
