@@ -7,7 +7,7 @@ share no mount at all.  This benchmark quantifies the two paths the
 ROADMAP called for:
 
 - **Warm-cache re-run** — the same T-Daub ranking twice per backend
-  (local ``cache_dir`` vs object store).  The warm pass must serve every
+  (a local ``store`` directory vs an object-store URL).  The warm pass must serve every
   evaluation from the persistent tier on *both* backends with identical
   rankings; the interesting number is how much of the latency-bound
   speedup survives the HTTP round trips.
@@ -83,14 +83,14 @@ def _fingerprint(selector: TDaub) -> tuple:
 def _warm_rerun_record(store_url: str, tiny: bool) -> dict:
     series = _series(300)
     count, latency = (4, 0.01) if tiny else (8, 0.08)
-    cache_dir = tempfile.mkdtemp(prefix="repro-objstore-bench-")
+    store_dir = tempfile.mkdtemp(prefix="repro-objstore-bench-")
     try:
-        local_cold, local_cold_s = _rank(cache_dir, series, count, latency)
-        local_warm, local_warm_s = _rank(cache_dir, series, count, latency)
+        local_cold, local_cold_s = _rank(store_dir, series, count, latency)
+        local_warm, local_warm_s = _rank(store_dir, series, count, latency)
         remote_cold, remote_cold_s = _rank(store_url, series, count, latency)
         remote_warm, remote_warm_s = _rank(store_url, series, count, latency)
     finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(store_dir, ignore_errors=True)
 
     reference = _fingerprint(local_cold)
     identical = all(

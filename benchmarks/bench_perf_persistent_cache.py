@@ -6,7 +6,7 @@ invocation of the same ranking — a re-run after a crash, a nightly
 benchmark on unchanged data, another shard pointing at the same store —
 skip every fit entirely.
 
-This benchmark runs the same ranking twice against one ``cache_dir``:
+This benchmark runs the same ranking twice against one ``store`` directory:
 
 - **cold** — empty store; every evaluation pays its full training cost,
 - **warm** — a fresh ``TDaub`` instance in the same process configuration a
@@ -84,12 +84,12 @@ def _series() -> np.ndarray:
     return 20.0 + 0.8 * t + 5.0 * np.sin(2 * np.pi * t / 12.0) + noise
 
 
-def _rank(cache_dir: str) -> tuple[TDaub, float]:
+def _rank(store_dir: str) -> tuple[TDaub, float]:
     selector = TDaub(
         pipelines=_candidate_pipelines(),
         horizon=_HORIZON,
         min_allocation_size=60,
-        cache_dir=cache_dir,
+        store=store_dir,
     )
     start = time.perf_counter()
     selector.fit(_series())
@@ -108,12 +108,12 @@ def _fingerprint(selector: TDaub) -> tuple:
 
 
 def test_persistent_cache_warm_rerun_speedup():
-    cache_dir = tempfile.mkdtemp(prefix="repro-eval-store-")
+    store_dir = tempfile.mkdtemp(prefix="repro-eval-store-")
     try:
-        cold_selector, cold_seconds = _rank(cache_dir)
-        warm_selector, warm_seconds = _rank(cache_dir)
+        cold_selector, cold_seconds = _rank(store_dir)
+        warm_selector, warm_seconds = _rank(store_dir)
     finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(store_dir, ignore_errors=True)
 
     speedup = cold_seconds / warm_seconds
     identical = _fingerprint(cold_selector) == _fingerprint(warm_selector)

@@ -318,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         # even on backends that cannot preempt it.
         toolkits = {
             **autoai_toolkit_factories(
-                cache_dir=args.cache_dir, store=store, budget=args.max_train_seconds
+                store=store if store is not None else args.cache_dir,
+                budget=args.max_train_seconds,
             ),
             **toolkits,
         }

@@ -147,20 +147,18 @@ def autoai_toolkit_factories(
     run_to_completion: int = 1,
     n_jobs: int | None = None,
     executor=None,
-    cache_dir: str | None = None,
     store=None,
     budget: float | None = None,
 ) -> Dict[str, ToolkitFactory]:
     """Factory for AutoAI-TS itself (10 internal pipelines, zero-conf).
 
     ``n_jobs``/``executor`` are forwarded to T-Daub so the inner pipeline
-    ranking can itself run parallel inside one benchmark cell;
-    ``cache_dir`` (a shared directory) or ``store`` (any
-    :class:`~repro.store.StoreBackend` or store URL — e.g. an object
-    store no two cells need a common mount for) points that ranking at a
-    persistent evaluation store shared across cells and runs, and
-    ``budget`` bounds each cell's ranking phase in wall-clock seconds on
-    every backend.
+    ranking can itself run parallel inside one benchmark cell; ``store``
+    (a shared directory, a store URL — e.g. an object store no two cells
+    need a common mount for — or any :class:`~repro.store.StoreBackend`)
+    points that ranking at a persistent evaluation store shared across
+    cells and runs, and ``budget`` bounds each cell's ranking phase in
+    wall-clock seconds on every backend.
     """
 
     def make(horizon: int) -> AutoAITS:
@@ -170,7 +168,6 @@ def autoai_toolkit_factories(
             holdout_fraction=0.2,
             n_jobs=n_jobs,
             executor=executor,
-            cache_dir=cache_dir,
             store=store,
             budget=budget,
         )

@@ -86,16 +86,13 @@ class AutoAITS(BaseForecaster):
     executor:
         Execution backend handed to T-Daub: ``None`` (auto), ``"serial"``,
         ``"threads"``, ``"processes"`` or a ``repro.exec.BaseExecutor``.
-    cache_dir:
-        Directory of a persistent evaluation store handed to T-Daub.  Fits
-        of identical (pipeline, data slice, horizon) combinations are
-        served from disk across processes and runs — point several
-        benchmark shards at one shared directory to split the work.
     store:
-        The persistent evaluation store itself (overrides ``cache_dir``):
-        a :class:`~repro.store.StoreBackend` or a store location — an
-        ``http://`` object-store URL or a directory path — for shards
-        that share no filesystem.
+        A persistent evaluation store handed to T-Daub: a directory path,
+        an ``http://`` object-store URL (for shards that share no
+        filesystem) or any :class:`~repro.store.StoreBackend`.  Fits of
+        identical (pipeline, data slice, horizon) combinations are served
+        from the store across processes and runs — point several
+        benchmark workers at one store to split the work.
     dataplane:
         Hand T-Daub the execution backend's zero-copy data plane (the
         default): the training split is registered with the engine once
@@ -129,7 +126,6 @@ class AutoAITS(BaseForecaster):
         random_state: int | None = 0,
         n_jobs: int | None = None,
         executor=None,
-        cache_dir: str | None = None,
         store=None,
         dataplane: bool = True,
         budget: float | None = None,
@@ -149,7 +145,6 @@ class AutoAITS(BaseForecaster):
         self.random_state = random_state
         self.n_jobs = n_jobs
         self.executor = executor
-        self.cache_dir = cache_dir
         self.store = store
         self.dataplane = dataplane
         self.budget = budget
@@ -227,7 +222,6 @@ class AutoAITS(BaseForecaster):
             verbose=self.verbose,
             n_jobs=self.n_jobs,
             executor=self.executor,
-            cache_dir=self.cache_dir,
             store=self.store,
             dataplane=self.dataplane,
             budget=self.budget,

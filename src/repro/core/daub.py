@@ -35,7 +35,6 @@ class Daub(TDaub):
         n_jobs: int | None = None,
         executor=None,
         memoize: bool = True,
-        cache_dir: str | None = None,
         store=None,
         budget: float | None = None,
     ):
@@ -54,7 +53,6 @@ class Daub(TDaub):
             n_jobs=n_jobs,
             executor=executor,
             memoize=memoize,
-            cache_dir=cache_dir,
             store=store,
             budget=budget,
         )
@@ -77,7 +75,6 @@ class Daub(TDaub):
             "n_jobs",
             "executor",
             "memoize",
-            "cache_dir",
             "store",
             "budget",
         )

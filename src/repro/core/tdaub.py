@@ -186,17 +186,14 @@ class TDaub(BaseEstimator):
         to the by-value path, which remains the fallback for executors
         without a plane (``create_dataplane() -> None``).  On by default;
         ``False`` forces by-value task payloads everywhere.
-    cache_dir:
-        Directory of a persistent evaluation store shared across fits,
-        processes and runs.  Requires ``memoize=True`` (the default); a
-        warm re-run against the same data serves every evaluation from
-        disk.  ``None`` keeps the cache in-memory only.
     store:
-        The persistent evaluation store itself (overrides ``cache_dir``):
-        any :class:`~repro.store.StoreBackend` or a store location — an
-        ``http://`` URL of a ``python -m repro.store.server`` object
-        store, or a directory path.  Lets shards with no shared
-        filesystem reuse one store.
+        A persistent evaluation store shared across fits, processes and
+        runs: a directory path, an ``http://`` URL of a
+        ``python -m repro.store.server`` object store (for shards with no
+        shared filesystem), or any :class:`~repro.store.StoreBackend`.
+        Requires ``memoize=True`` (the default); a warm re-run against
+        the same data serves every evaluation from the store.  ``None``
+        keeps the cache in-memory only.
     budget:
         Wall-clock budget in seconds for the whole ranking run.  Enforced
         cooperatively on every backend: once exhausted, remaining
@@ -259,7 +256,6 @@ class TDaub(BaseEstimator):
         executor: str | BaseExecutor | None = None,
         memoize: bool = True,
         dataplane: bool = True,
-        cache_dir: str | None = None,
         store=None,
         budget: float | None = None,
         progress_callback: Callable[[dict], None] | None = None,
@@ -282,7 +278,6 @@ class TDaub(BaseEstimator):
         self.executor = executor
         self.memoize = memoize
         self.dataplane = dataplane
-        self.cache_dir = cache_dir
         self.store = store
         self.budget = budget
         self.progress_callback = progress_callback
@@ -528,12 +523,7 @@ class TDaub(BaseEstimator):
 
         if not self.memoize:
             self._cache = None
-        elif (
-            warm is not None
-            and warm.cache is not None
-            and self.cache_dir is None
-            and self.store is None
-        ):
+        elif warm is not None and warm.cache is not None and self.store is None:
             # Adopt the prior ranking's cache wholesale: its memory tier
             # already holds every prefix cell, so a warm re-rank hits even
             # without a persistent store.  Stats reset so this run's
@@ -541,7 +531,7 @@ class TDaub(BaseEstimator):
             self._cache = warm.cache
             self._cache.reset_stats()
         else:
-            self._cache = EvaluationCache(cache_dir=self.cache_dir, store=self.store)
+            self._cache = EvaluationCache(store=self.store)
         self._deadline = Deadline(self.budget) if self.budget is not None else None
         T = as_2d_array(T)
         horizon = int(self.horizon)

@@ -18,9 +18,8 @@ scoring phase and the full benchmark matrix — funnels through this package:
   ``ArrayRef`` slices instead of pickled array values.
 - :mod:`repro.exec.cache` — :class:`EvaluationCache`, a two-tier memo of
   ``(pipeline params, data fingerprints, horizon) -> score``: an in-memory
-  LRU front tier plus an optional persistent tier under ``cache_dir``.
-- :mod:`repro.exec.store` — :class:`DiskStore`, the content-addressed,
-  versioned, crash-safe record store behind the persistent tier.
+  LRU front tier plus an optional persistent tier, any
+  :class:`repro.store.StoreBackend`.
 - :mod:`repro.exec.tasks` — picklable task payloads and runner functions
   for pipeline evaluations and benchmark cells.
 """
@@ -50,7 +49,6 @@ from .executor import (
     resolve_n_jobs,
 )
 from .remote import RemoteBlobPlane, RemoteExecutor, WireStats, WorkerServer
-from .store import SCHEMA_VERSION, DiskStore, FileLock, key_digest
 from .tasks import (
     FitScoreResult,
     FitScoreTask,
@@ -87,10 +85,6 @@ __all__ = [
     "EvaluationCache",
     "CacheStats",
     "estimator_fingerprint",
-    "DiskStore",
-    "FileLock",
-    "key_digest",
-    "SCHEMA_VERSION",
     "FitScoreTask",
     "FitScoreResult",
     "run_fit_score_task",

@@ -17,7 +17,7 @@ horizon misses.  The cache has two tiers:
 
 - an in-memory LRU front tier (always on), and
 - an optional persistent back tier — any :class:`repro.store.StoreBackend`
-  (a :class:`~repro.store.LocalFSBackend` under ``cache_dir``, or an
+  (a :class:`~repro.store.LocalFSBackend` over a directory, or an
   :class:`~repro.store.ObjectStoreBackend` for shards with no shared
   filesystem) — consulted on memory misses and written through on every
   insert, so repeated benchmark invocations on the same suites skip
@@ -27,6 +27,7 @@ horizon misses.  The cache has two tiers:
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import types
 from collections import OrderedDict
@@ -35,6 +36,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
+from ..store import StoreBackend, key_digest, open_store
 from .dataplane import (
     ArrayRef,
     FrameRef,
@@ -42,7 +44,6 @@ from .dataplane import (
     array_fingerprint,
     resolve_array,
 )
-from .store import DiskStore, key_digest
 
 __all__ = ["EvaluationCache", "CacheStats"]
 
@@ -223,36 +224,24 @@ class EvaluationCache:
         entry is evicted first.  ``None`` means unbounded (the default —
         T-Daub runs produce at most a few hundred entries).  Eviction from
         the memory tier never deletes persisted records.
-    cache_dir:
-        Directory of the persistent tier.  ``None`` (default) keeps the
-        cache memory-only; a path makes every insert write through to a
-        :class:`~repro.store.LocalFSBackend` and every memory miss consult
-        it, so entries survive the process and can be shared between
-        concurrent runs.
     store:
-        The persistent tier itself (overrides ``cache_dir``): any
-        :class:`~repro.store.StoreBackend`, an ``http://`` store URL, a
-        directory path, or — for backward compatibility — a raw
-        :class:`~repro.exec.store.DiskStore` (wrapped in place, so tests
-        can still inject one with a custom schema version).
+        The persistent tier, resolved by :func:`repro.store.open_store`:
+        a directory path (a :class:`~repro.store.LocalFSBackend`), an
+        ``http://`` store URL or any :class:`~repro.store.StoreBackend`.
+        Every insert writes through to it and every memory miss consults
+        it, so entries survive the process and can be shared between
+        concurrent runs.  ``None`` (default) keeps the cache memory-only.
     """
 
     def __init__(
         self,
         max_entries: int | None = None,
-        cache_dir: str | None = None,
-        store: "DiskStore | str | Any | None" = None,
+        store: "str | os.PathLike | StoreBackend | None" = None,
     ):
         if max_entries is not None and int(max_entries) < 1:
             raise ValueError("max_entries must be a positive integer or None.")
         self.max_entries = max_entries
-        if store is None and cache_dir is not None:
-            store = cache_dir
-        if store is not None:
-            from ..store import as_record_backend
-
-            store = as_record_backend(store)
-        self.store = store
+        self.store = open_store(store)
         self._store: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0

@@ -254,21 +254,17 @@ class WorkerServer:
         the cap queue at the semaphore.
     authkey:
         Optional shared secret for the HMAC handshake.
-    blob_dir:
-        Directory where received data-plane blobs are spilled (a
-        :class:`~repro.store.LocalFSBackend` — the historical
-        ``DiskStore`` layout, so existing spill directories keep hitting).
-        A restarted server answers ``blob_has`` from the spill, so
-        clients never re-send bytes this host has ever seen.  ``None``
-        keeps blobs in memory only (unless ``blob_store`` is given).
     blob_store:
-        The spill target itself (overrides ``blob_dir``): any
-        :class:`~repro.store.StoreBackend` or store location — e.g. an
-        ``http://`` object-store URL shared with the evaluation store,
-        in which case a worker restarted on a *different host* still
-        answers ``blob_has`` without a re-download.
+        Where received data-plane blobs are spilled: a directory path (a
+        :class:`~repro.store.LocalFSBackend`), an ``http://`` object-store
+        URL shared with the evaluation store, or any
+        :class:`~repro.store.StoreBackend`.  A restarted server answers
+        ``blob_has`` from the spill, so clients never re-send bytes this
+        host has ever seen — with an object store, even a worker
+        restarted on a *different host*.  ``None`` keeps blobs in memory
+        only.
     blob_cache_bytes:
-        In-memory bound for received blobs when a ``blob_dir`` spill
+        In-memory bound for received blobs when a ``blob_store`` spill
         exists: least-recently-used spilled blobs are evicted past the
         cap and transparently re-promoted from disk when a task needs
         them, so a long-lived server's memory stays bounded.  Without a
@@ -283,7 +279,6 @@ class WorkerServer:
         n_jobs: int | None = None,
         start_method: str | None = None,
         authkey: bytes | None = None,
-        blob_dir: str | None = None,
         blob_store=None,
         blob_cache_bytes: int = 4 << 30,
     ):
@@ -293,7 +288,7 @@ class WorkerServer:
         self.n_jobs = resolve_n_jobs(n_jobs)
         self._slots = threading.BoundedSemaphore(self.n_jobs)
         self.authkey = authkey
-        self._vault = open_store(blob_store if blob_store is not None else blob_dir)
+        self._vault = open_store(blob_store)
         self.blob_cache_bytes = int(blob_cache_bytes)
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
@@ -508,7 +503,7 @@ class _WorkerLane:
         Runs on every (re)connect, before any task crosses this lane: a
         ``blob_has`` probe per registered digest, and the bytes only when
         the worker has never seen them (they persist in the server process
-        — and its ``--blob-dir`` spill — across connections and runs).
+        — and its blob spill — across connections and runs).
         """
         executor = self.executor
         for digest, base in executor._blob_roster_snapshot():
@@ -958,8 +953,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         port=args.port,
         n_jobs=args.jobs,
         authkey=authkey.encode("utf-8") if authkey else None,
-        blob_dir=args.blob_dir,
-        blob_store=args.store_url,
+        blob_store=args.store_url if args.store_url is not None else args.blob_dir,
     )
     host, port = server.address
     print(f"[worker] serving on {host}:{port} (pid {os.getpid()})", flush=True)

@@ -43,6 +43,7 @@ from ..exceptions import DataQualityError, InvalidParameterError
 from ..faults import garble
 from ..store.base import StoreError
 from ..store.digest import array_digest
+from ..store.localfs import LocalFSBackend
 from .frame import BaseFrame, TimeSeriesFrame
 
 __all__ = [
@@ -274,11 +275,11 @@ class SpilledFrame(BaseFrame):
         chunks respects an ``RLIMIT_DATA`` budget the materialized tensor
         would blow through.
         """
-        disk = getattr(self.backend, "disk", None)
-        if disk is None:
+        backend = self.backend
+        if not isinstance(backend, LocalFSBackend) or backend.root is None:
             return None
         try:
-            path = disk.blob_path(digest)
+            path = backend.blob_path(digest)
             if not path.is_file():
                 return None
             return np.load(path, mmap_mode="r", allow_pickle=False)

@@ -4,10 +4,9 @@ One interface — :class:`StoreBackend` — behind the evaluation cache's
 persistent tier, the data plane's blob spill/sync and the shared run
 manifests, with two implementations:
 
-- :class:`LocalFSBackend` — today's on-disk layout (a
-  :class:`~repro.exec.store.DiskStore` directory plus ``flock``-guarded
-  documents), byte-for-byte compatible with stores written before this
-  package existed.
+- :class:`LocalFSBackend` — records and blobs under one directory plus
+  ``flock``-guarded documents by path; :mod:`repro.store.localfs` is the
+  one module that knows this on-disk format.
 - :class:`ObjectStoreBackend` — an S3-style HTTP client for the bundled
   ``python -m repro.store.server``, so shards with **no shared
   filesystem** (cloud workers, separate hosts) still share one store.
@@ -43,7 +42,6 @@ __all__ = [
     "ObjectStoreBackend",
     "StoreTransportStats",
     "open_store",
-    "as_record_backend",
     "array_digest",
     "key_digest",
     "text_digest",
@@ -67,28 +65,3 @@ def open_store(target: "str | os.PathLike | StoreBackend | None") -> StoreBacken
     if text.startswith(("http://", "https://")):
         return ObjectStoreBackend(text)
     return LocalFSBackend(text)
-
-
-def as_record_backend(store) -> StoreBackend:
-    """Adapt legacy store objects (a raw ``DiskStore``) to the interface.
-
-    The evaluation cache historically accepted a
-    :class:`~repro.exec.store.DiskStore`; wrapping keeps that calling
-    convention alive while every internal consumer talks to one seam.
-    """
-    if isinstance(store, StoreBackend):
-        return store
-    if isinstance(store, (str, os.PathLike)):
-        resolved = open_store(store)
-        assert resolved is not None
-        return resolved
-    from ..exec.store import DiskStore
-
-    if isinstance(store, DiskStore):
-        wrapped = LocalFSBackend(store.cache_dir, schema_version=store.schema_version)
-        wrapped.disk = store
-        return wrapped
-    raise TypeError(
-        f"cannot adapt {type(store).__name__} to a StoreBackend (expected a "
-        "backend instance, a DiskStore, a directory path or a store URL)"
-    )

@@ -1,11 +1,11 @@
 """The pluggable storage interface behind every persistence path.
 
-Before this package, "persistent" meant "a directory on a shared
-filesystem": the evaluation cache's disk tier, the data plane's blob
-spill and the shared run manifests all hard-coded
-:class:`repro.exec.store.DiskStore` plus ``flock``.  :class:`StoreBackend`
-turns that assumption into one backend among several.  It covers the
-three object families those consumers actually use:
+The evaluation cache's persistent tier, the data plane's blob spill
+and the shared run manifests all persist through :class:`StoreBackend`,
+whichever backend holds the bytes: a local directory
+(:class:`~repro.store.localfs.LocalFSBackend`) or the bundled object
+store (:class:`~repro.store.objectstore.ObjectStoreBackend`).  It covers
+the three object families those consumers actually use:
 
 **Records** (``get`` / ``put`` / ``evict``)
     Small immutable JSON documents addressed by a content digest of their
@@ -21,31 +21,120 @@ three object families those consumers actually use:
 **Documents** (``read_doc`` / ``write_doc`` / ``update_doc``)
     Small *mutable* texts addressed by name — run manifests and
     work-queue documents.  :meth:`~StoreBackend.update_doc` is the lease
-    primitive that replaces raw ``FileLock``: an atomic read-modify-write whose
-    concurrency control is whatever the backend does best (an advisory
-    ``flock`` on the local filesystem, a conditional-PUT compare-and-swap
-    loop against the object store).  Callers express merges and queue
-    pulls as a pure function of the current text and never touch locks
-    directly.
+    primitive: an atomic read-modify-write whose concurrency control is
+    whatever the backend does best (an advisory ``flock`` on the local
+    filesystem, a conditional-PUT compare-and-swap loop against the
+    object store).  Callers express merges and queue pulls as a pure
+    function of the current text and never touch locks directly.
 
 Backends must be **picklable** (state only — no sockets or file
 descriptors), because benchmark toolkit factories carry them into worker
 processes.
+
+Both backends store a record as the same JSON text, produced and
+validated by :func:`encode_record` / :func:`decode_record`, so a store
+copied from one backend to the other keeps hitting.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
+import json
 from typing import Any, Callable
 
-__all__ = ["StoreBackend", "StoreError", "CircuitOpenError"]
+__all__ = [
+    "StoreBackend",
+    "StoreError",
+    "CircuitOpenError",
+    "SCHEMA_VERSION",
+    "encode_record",
+    "decode_record",
+]
+
+#: Version stamp written into every record.  Bump whenever the key
+#: construction or the value encoding changes incompatibly: old records are
+#: then evicted on first read instead of being misinterpreted.
+SCHEMA_VERSION = 1
+
+
+def _encode_value(value: Any) -> tuple[str, Any] | None:
+    """Encode one cached value as a ``(kind, payload)`` JSON pair.
+
+    Returns ``None`` for values the store cannot represent; those stay in
+    the memory tier only.
+    """
+    from ..exec.tasks import FitScoreResult, ToolkitRunResult
+
+    if isinstance(value, FitScoreResult):
+        payload = dataclasses.asdict(value)
+        # Whether the producer run got the value from its own cache is not a
+        # property of the evaluation; records always persist a fresh result.
+        payload["from_cache"] = False
+        return ("fit_score_result", payload)
+    if isinstance(value, ToolkitRunResult):
+        return ("toolkit_run_result", dataclasses.asdict(value))
+    if isinstance(value, (str, int, float, bool, type(None), list, dict)):
+        return ("json", value)
+    return None
+
+
+def _decode_value(kind: str, payload: Any) -> Any:
+    """Inverse of :func:`_encode_value`; raises on unknown kinds."""
+    from ..exec.tasks import FitScoreResult, ToolkitRunResult
+
+    if kind in ("fit_score_result", "toolkit_run_result"):
+        payload = dict(payload)
+        # JSON has no tuples; restore the conventional tuple tags (e.g. the
+        # benchmark matrix's ``(dataset, toolkit)`` cell addresses).
+        if isinstance(payload.get("tag"), list):
+            payload["tag"] = tuple(payload["tag"])
+        cls = FitScoreResult if kind == "fit_score_result" else ToolkitRunResult
+        return cls(**payload)
+    if kind == "json":
+        return payload
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
+def encode_record(digest: str, value: Any, schema_version: int = SCHEMA_VERSION) -> str | None:
+    """Serialize one cached value as the canonical record text.
+
+    Returns ``None`` for values no backend can represent; those stay in
+    the memory tier only.
+    """
+    encoded = _encode_value(value)
+    if encoded is None:
+        return None
+    kind, payload = encoded
+    record = {"schema": schema_version, "key": digest, "kind": kind, "payload": payload}
+    try:
+        return json.dumps(record)
+    except (TypeError, ValueError):
+        # A representable container holding an unrepresentable leaf
+        # (e.g. a FitScoreResult whose tag is an arbitrary object).
+        return None
+
+
+def decode_record(text: str, schema_version: int = SCHEMA_VERSION) -> Any:
+    """Inverse of :func:`encode_record`.
+
+    Raises ``ValueError``/``KeyError``/``TypeError`` on corrupt or
+    schema-incompatible records — callers evict the record and report a
+    miss.
+    """
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    if record.get("schema") != schema_version:
+        raise ValueError(f"schema {record.get('schema')!r}")
+    return _decode_value(record["kind"], record["payload"])
 
 
 class StoreError(OSError):
     """A backend could not complete an operation (unreachable, conflicted).
 
     Subclasses :class:`OSError` on purpose: every existing consumer of the
-    disk store already treats ``OSError`` as "the persistence layer is
+    local store already treats ``OSError`` as "the persistence layer is
     having a bad day, degrade gracefully", and a remote backend's failures
     deserve exactly that handling.
     """

@@ -8,8 +8,8 @@ single source of those digests so one array hashed once serves cache
 keys, ``ArrayRef`` addresses and blob names alike.
 
 - :func:`key_digest` — record addresses (20-byte BLAKE2 of the cache
-  key's canonical ``repr``), exactly what ``repro.exec.store`` has always
-  written, so existing stores keep hitting.
+  key's canonical ``repr``), unchanged since the first persistent store,
+  so existing stores keep hitting.
 - :func:`array_digest` — blob/ref addresses (16-byte BLAKE2 of the raw
   array buffer), exactly the data plane's historical scheme.
 - :func:`text_digest` — ETags for mutable documents (manifests, work

@@ -34,11 +34,13 @@ points:
   work queue and the shared manifest lock-free mutual exclusion: of two
   workers racing on one queue document, exactly one PUT succeeds and the
   loser re-derives its pull from the winner's text.
-- **Record/blob parity with the disk store** — record bytes are produced
-  and validated by the same codec as :class:`~repro.exec.store.DiskStore`
-  (corrupt or schema-incompatible records are evicted server-side and
-  reported as misses), and blob payloads are integrity-checked against
-  their content digest on read.
+- **Record/blob parity with the local backend** — record bytes are
+  produced and validated by the same codec as
+  :class:`~repro.store.localfs.LocalFSBackend`
+  (:func:`~repro.store.base.encode_record`; corrupt or
+  schema-incompatible records are evicted server-side and reported as
+  misses), and blob payloads are integrity-checked against their content
+  digest on read.
 
 Backends are picklable (URL plus knobs; the connection pool never
 crosses a process boundary), so toolkit factories can carry one into
@@ -57,7 +59,14 @@ from typing import Any, Callable
 
 from .. import faults
 from ..resilience import BreakerStats, CircuitBreaker, RetryPolicy
-from .base import CircuitOpenError, StoreBackend, StoreError
+from .base import (
+    SCHEMA_VERSION,
+    CircuitOpenError,
+    StoreBackend,
+    StoreError,
+    decode_record,
+    encode_record,
+)
 from .digest import array_digest
 
 __all__ = ["ObjectStoreBackend", "StoreTransportStats"]
@@ -166,11 +175,7 @@ class ObjectStoreBackend(StoreBackend):
         self.breaker_failures = int(breaker_failures)
         self.breaker_reset_after = float(breaker_reset_after)
         self.pool_size = int(pool_size)
-        if schema_version is None:
-            from ..exec.store import SCHEMA_VERSION
-
-            schema_version = SCHEMA_VERSION
-        self.schema_version = int(schema_version)
+        self.schema_version = SCHEMA_VERSION if schema_version is None else int(schema_version)
         self._init_runtime()
 
     def _init_runtime(self) -> None:
@@ -336,8 +341,6 @@ class ObjectStoreBackend(StoreBackend):
 
     # -- records ---------------------------------------------------------------
     def get(self, digest: str) -> Any | None:
-        from ..exec.store import decode_record
-
         try:
             status, _, payload = self._request("GET", f"/records/{digest}")
         except StoreError:
@@ -351,8 +354,6 @@ class ObjectStoreBackend(StoreBackend):
             return None
 
     def put(self, digest: str, value: Any) -> bool:
-        from ..exec.store import encode_record
-
         text = encode_record(digest, value, self.schema_version)
         if text is None:
             return False

@@ -23,14 +23,15 @@ Semantics:
 - Records and blobs are content-addressed and therefore idempotent:
   concurrent PUTs of one digest publish identical bytes, last write wins
   harmlessly.
-- Writes are atomic (staged in the destination directory, published with
-  ``os.replace``), so a killed server never leaves a torn object.
+- Writes are atomic (:func:`~repro.store.localfs.atomic_write`: staged in
+  the destination directory, published with ``os.replace``), so a killed
+  server never leaves a torn object.
 
 The server is threaded (one OS thread per connection, HTTP/1.1
-keep-alive) and persists everything under ``--root``, which uses the
-record/blob layout of :class:`~repro.exec.store.DiskStore` — a store
-directory can be served over HTTP one day and mounted as a
-``LocalFSBackend`` the next.
+keep-alive) and persists everything under ``--root``.  Records and blobs
+sit at the paths :class:`~repro.store.localfs.LocalFSBackend` gives
+them, so a store directory can be served over HTTP one day and opened
+as a ``LocalFSBackend`` the next.
 
 This process trusts its network: there is no authentication and request
 bodies are JSON/array bytes interpreted by clients.  Bind it to loopback
@@ -49,6 +50,7 @@ from typing import Sequence
 
 from .. import faults
 from .digest import text_digest
+from .localfs import LocalFSBackend, atomic_write
 
 __all__ = ["StoreServer", "main"]
 
@@ -68,18 +70,10 @@ class _StoreState:
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
+        self.layout = LocalFSBackend(self.root)
         # Document compare-and-swap must read, compare and publish as one
         # step; a single process-wide lock is plenty at manifest sizes.
         self.doc_lock = threading.Lock()
-
-    def record_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def blob_path(self, digest: str) -> Path:
-        return self.root / "blobs" / digest[:2] / f"{digest}.npy"
-
-    def doc_path(self, quoted_name: str) -> Path:
-        return self.root / "docs" / quoted_name
 
     def counts(self) -> dict:
         records = sum(1 for _ in self.root.glob("??/*.json")) if self.root.is_dir() else 0
@@ -87,22 +81,6 @@ class _StoreState:
         docs_dir = self.root / "docs"
         docs = sum(1 for _ in docs_dir.iterdir()) if docs_dir.is_dir() else 0
         return {"status": "ok", "records": records, "blobs": blobs, "docs": docs}
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    from ..exec.store import _stage_temp
-
-    fd, temp_name = _stage_temp(path, path.suffix)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(temp_name, path)
-    except OSError:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -181,10 +159,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _object_path(self, family: str, name: str) -> Path:
         if family == "records":
-            return self.state.record_path(name)
+            return self.state.layout.record_path(name)
         if family == "blobs":
-            return self.state.blob_path(name)
-        return self.state.doc_path(name)
+            return self.state.layout.blob_path(name)
+        return self.state.root / "docs" / name
 
     def _injected_unavailable(self) -> bool:
         """``store.server.request`` seam: answer 503 before doing any work.
@@ -265,7 +243,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         # Records and blobs are content-addressed: unconditional, idempotent.
         try:
-            _atomic_write_bytes(path, body)
+            atomic_write(path, lambda handle: handle.write(body))
         except OSError:
             self._reply(507, b"write failed")
             return
@@ -297,7 +275,7 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                     return
             try:
-                _atomic_write_bytes(path, body)
+                atomic_write(path, lambda handle: handle.write(body))
             except OSError:
                 self._reply(507, b"write failed")
                 return
@@ -391,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--root",
         default="repro-store",
-        help="directory persisting every object (DiskStore layout)",
+        help="directory persisting every object (LocalFSBackend layout)",
     )
     args = parser.parse_args(argv)
     server = StoreServer(root=args.root, host=args.host, port=args.port)

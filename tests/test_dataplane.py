@@ -24,7 +24,6 @@ from repro.exec import (
     ArrayRef,
     DataPlane,
     Deadline,
-    DiskStore,
     EvaluationCache,
     FitScoreTask,
     ProcessExecutor,
@@ -41,6 +40,7 @@ from repro.exec import (
 from repro.exec.dataplane import _LOCAL_BASES, SHM_NAME_PREFIX, active_segments
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
 from repro.forecasters.theta import ThetaForecaster
+from repro.store import LocalFSBackend
 
 _SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -378,19 +378,19 @@ class TestCrossBackendDeterminismWithPlane:
         assert selector.ranked_names_ == reference.ranked_names_
 
 
-def _serve_blob_worker(conn, blob_dir) -> None:
+def _serve_blob_worker(conn, blob_store) -> None:
     from repro.exec import WorkerServer
 
-    server = WorkerServer(blob_dir=blob_dir)
+    server = WorkerServer(blob_store=blob_store)
     conn.send(server.address)
     conn.close()
     server.serve_forever()
 
 
-def _start_blob_server(blob_dir=None):
+def _start_blob_server(blob_store=None):
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(target=_serve_blob_worker, args=(child_conn, blob_dir))
+    process = ctx.Process(target=_serve_blob_worker, args=(child_conn, blob_store))
     process.start()
     child_conn.close()
     address = parent_conn.recv()
@@ -450,9 +450,9 @@ class TestRemoteBlobPlane:
             process.join()
 
     def test_restarted_server_answers_blob_has_from_spill(self, tmp_path):
-        blob_dir = str(tmp_path / "blobs")
+        blob_store = str(tmp_path / "blobs")
         base = _series(2000).reshape(-1, 1)
-        process, address = _start_blob_server(blob_dir)
+        process, address = _start_blob_server(blob_store)
         try:
             executor = RemoteExecutor(["%s:%d" % address])
             plane = executor.create_dataplane()
@@ -475,7 +475,7 @@ class TestRemoteBlobPlane:
             process.terminate()
             process.join()
 
-        process, address = _start_blob_server(blob_dir)
+        process, address = _start_blob_server(blob_store)
         try:
             executor = RemoteExecutor(["%s:%d" % address])
             plane = executor.create_dataplane()
@@ -548,7 +548,7 @@ class TestBlobCacheBounds:
             install_blob,
         )
 
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         old = np.arange(1000.0)
         fresh = np.arange(1000.0) * 2.0
         old_digest, fresh_digest = array_digest(old), array_digest(fresh)
@@ -603,7 +603,7 @@ class TestBlobCacheBounds:
 
 class TestDiskStoreBlobs:
     def test_blob_roundtrip(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         base = _series(500).reshape(-1, 1)
         digest = array_digest(base)
         assert not store.has_blob(digest)
@@ -613,7 +613,7 @@ class TestDiskStoreBlobs:
         assert np.array_equal(store.get_blob(digest), base)
 
     def test_corrupt_blob_evicted_on_read(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         digest = array_digest(np.arange(8.0))
         store.put_blob(digest, np.arange(8.0))
         store.blob_path(digest).write_bytes(b"not an npy file")

@@ -18,13 +18,14 @@ import pytest
 from repro.benchmarking import BenchmarkRunner, RunManifest, SharedManifest
 from repro.benchmarking.results import ToolkitRun
 from repro.core import TDaub
-from repro.exec import DiskStore, EvaluationCache, FitScoreResult, key_digest
+from repro.exec import EvaluationCache, FitScoreResult
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
 from repro.store import (
     LocalFSBackend,
     ObjectStoreBackend,
     StoreBackend,
     StoreError,
+    key_digest,
     open_store,
 )
 from repro.store.digest import array_digest
@@ -46,17 +47,17 @@ def backend(request, tmp_path, store_server) -> StoreBackend:
     return ObjectStoreBackend(store_server.url)
 
 
-def _corrupt_record(backend: StoreBackend, digest: str) -> None:
+def _corrupt_record(backend: StoreBackend, digest: str, garbage: bytes) -> None:
     """Replace one stored record with garbage bytes, backend-appropriately."""
     if isinstance(backend, LocalFSBackend):
-        backend.disk.path_for(digest).write_text("{ truncated garbage", encoding="utf-8")
+        backend.record_path(digest).write_bytes(garbage)
     else:
-        backend._request("PUT", f"/records/{digest}", b"{ truncated garbage")
+        backend._request("PUT", f"/records/{digest}", garbage)
 
 
 def _record_exists(backend: StoreBackend, digest: str) -> bool:
     if isinstance(backend, LocalFSBackend):
-        return backend.disk.path_for(digest).exists()
+        return backend.record_path(digest).exists()
     status, _, _ = backend._request("GET", f"/records/{digest}")
     return status == 200
 
@@ -77,13 +78,15 @@ class TestBackendParity:
 
     def test_corrupt_record_evicted_on_read(self, backend):
         digest = "b" * 40
-        assert backend.put(digest, FitScoreResult(0, 1.0, 0.1, 10))
-        _corrupt_record(backend, digest)
-        assert backend.get(digest) is None
-        assert not _record_exists(backend, digest)
-        # The slot is usable again after recovery.
-        assert backend.put(digest, FitScoreResult(0, 2.0, 0.1, 10))
-        assert backend.get(digest).score == 2.0
+        # Truncated JSON, then bytes that are not UTF-8 at all.
+        for garbage in (b"{ truncated garbage", b"\xff\xfe"):
+            assert backend.put(digest, FitScoreResult(0, 1.0, 0.1, 10))
+            _corrupt_record(backend, digest, garbage)
+            assert backend.get(digest) is None
+            assert not _record_exists(backend, digest)
+            # The slot is usable again after recovery.
+            assert backend.put(digest, FitScoreResult(0, 2.0, 0.1, 10))
+            assert backend.get(digest).score == 2.0
 
     def test_stale_schema_evicted_on_read(self, backend, tmp_path, store_server):
         digest = "c" * 40
@@ -118,7 +121,7 @@ class TestBackendParity:
         digest = array_digest(array)
         assert backend.put_blob(digest, array)
         if isinstance(backend, LocalFSBackend):
-            backend.disk.blob_path(digest).write_bytes(b"not an npy payload")
+            backend.blob_path(digest).write_bytes(b"not an npy payload")
         else:
             backend._request("PUT", f"/blobs/{digest}", b"not an npy payload")
         assert backend.get_blob(digest) is None
@@ -501,18 +504,17 @@ class TestEvaluationCacheOnBackends:
         assert warm.cache_stats_.disk_hits > 0
 
     def test_existing_diskstore_directory_reused_without_migration(self, tmp_path):
-        """Satellite acceptance: LocalFSBackend must hit old DiskStore entries."""
-        legacy = EvaluationCache(cache_dir=str(tmp_path))
+        """A directory given as a path string and as a backend is one store.
+
+        Stores written before the local layers merged are pinned by
+        ``tests/data/store_v1`` (see ``test_store.TestStoreV1Fixture``).
+        """
+        legacy = EvaluationCache(store=str(tmp_path))
         result = FitScoreResult(tag=0, score=-1.0, seconds=0.2, n_train=20)
         legacy.put(self._key(legacy), result)
-        # Same directory, new seam: entries written before the refactor
-        # (plain DiskStore layout) must be served unchanged.
         modern = EvaluationCache(store=LocalFSBackend(tmp_path))
         assert modern.get(self._key(modern)) == result
         assert modern.stats.disk_hits == 1
-        # And the raw-DiskStore calling convention still works.
-        wrapped = EvaluationCache(store=DiskStore(tmp_path))
-        assert wrapped.get(self._key(wrapped)) == result
 
 
 def _serve_blob_worker(conn, store_url) -> None:

@@ -4,27 +4,25 @@ import errno
 import json
 import multiprocessing
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import TDaub
-from repro.exec import (
-    DiskStore,
-    EvaluationCache,
-    FitScoreResult,
-    ToolkitRunResult,
-    key_digest,
-)
+from repro.exec import EvaluationCache, FitScoreResult, ToolkitRunResult
 from repro.exec.cache import _array_fingerprint, _value_fingerprint
-from repro.exec.store import atomic_write_text
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
+from repro.store import LocalFSBackend, key_digest
 from repro.store.digest import array_digest, clear_digest_memo, digest_memo_stats
 
 
 class TestDiskStore:
+    """Records in the local on-disk store (``LocalFSBackend``)."""
+
     def test_round_trip_fit_score_result(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         result = FitScoreResult(tag=4, score=-1.25, seconds=0.5, n_train=120, error="")
         digest = key_digest(("some", "key", 1))
         assert store.put(digest, result)
@@ -32,7 +30,7 @@ class TestDiskStore:
         assert len(store) == 1
 
     def test_round_trip_non_finite_score(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         result = FitScoreResult(
             tag=0, score=-float("inf"), seconds=0.1, n_train=10, error="ValueError('x')"
         )
@@ -41,35 +39,35 @@ class TestDiskStore:
         assert loaded.score == -float("inf") and loaded.failed
 
     def test_round_trip_toolkit_result_restores_tuple_tag(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         result = ToolkitRunResult(tag=("dataset", "toolkit"), smape=3.5, seconds=1.0)
         store.put("b" * 40, result)
         assert store.get("b" * 40) == result
 
     def test_missing_entry_is_none(self, tmp_path):
-        assert DiskStore(tmp_path).get("c" * 40) is None
+        assert LocalFSBackend(tmp_path).get("c" * 40) is None
 
     def test_unrepresentable_value_not_persisted(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         assert not store.put("d" * 40, object())
         assert len(store) == 0
 
     def test_schema_version_mismatch_evicts(self, tmp_path):
-        old = DiskStore(tmp_path, schema_version=1)
+        old = LocalFSBackend(tmp_path, schema_version=1)
         digest = "e" * 40
         old.put(digest, FitScoreResult(tag=0, score=1.0, seconds=0.1, n_train=10))
-        path = old.path_for(digest)
+        path = old.record_path(digest)
         assert path.exists()
 
-        new = DiskStore(tmp_path, schema_version=2)
+        new = LocalFSBackend(tmp_path, schema_version=2)
         assert new.get(digest) is None
         assert not path.exists()  # evicted, not left to be misread again
 
     def test_corrupt_entry_recovered(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         digest = "f" * 40
         store.put(digest, FitScoreResult(tag=0, score=1.0, seconds=0.1, n_train=10))
-        path = store.path_for(digest)
+        path = store.record_path(digest)
         path.write_text("{ truncated garbage", encoding="utf-8")
 
         assert store.get(digest) is None
@@ -79,22 +77,15 @@ class TestDiskStore:
         assert store.get(digest).score == 2.0
 
     def test_wrong_json_shape_is_corrupt(self, tmp_path):
-        store = DiskStore(tmp_path)
-        path = store.path_for("9" * 40)
+        store = LocalFSBackend(tmp_path)
+        path = store.record_path("9" * 40)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
         assert store.get("9" * 40) is None
         assert not path.exists()
 
-    def test_clear(self, tmp_path):
-        store = DiskStore(tmp_path)
-        for index in range(3):
-            store.put(key_digest(("k", index)), FitScoreResult(0, 1.0, 0.1, 10))
-        store.clear()
-        assert len(store) == 0
-
     def test_concurrent_writers_share_one_dir(self, tmp_path):
-        """Two processes hammering one cache_dir: no torn or lost records."""
+        """Two processes hammering one store directory: no torn or lost records."""
         ctx = multiprocessing.get_context()
         workers = [
             ctx.Process(target=_writer_process, args=(str(tmp_path), offset))
@@ -105,7 +96,7 @@ class TestDiskStore:
         for worker in workers:
             worker.join(timeout=30)
             assert worker.exitcode == 0
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         # 20 distinct keys plus 5 contended ones both workers wrote.
         for index in range(20):
             loaded = store.get(key_digest(("distinct", index)))
@@ -113,6 +104,81 @@ class TestDiskStore:
         for index in range(5):
             loaded = store.get(key_digest(("contended", index)))
             assert loaded is not None and loaded.score == float(index)
+
+
+#: A store directory written by ``DiskStore``, the local record store that
+#: ``LocalFSBackend`` absorbed; the keys and values below are exactly what
+#: it persisted there.
+STORE_V1 = Path(__file__).resolve().parent / "data" / "store_v1"
+STORE_V1_RECORDS = {
+    ("store_v1", "fit_score_result", "finite"): FitScoreResult(
+        tag=2, score=-8.123456789012345, seconds=0.125, n_train=48
+    ),
+    ("store_v1", "fit_score_result", "failed"): FitScoreResult(
+        tag=5,
+        score=float("-inf"),
+        seconds=0.015625,
+        n_train=24,
+        error="ValueError('score is not finite: inf')",
+    ),
+    ("store_v1", "toolkit_run_result", 12): ToolkitRunResult(
+        tag=("AirPassengers", "AutoAI-TS"), smape=7.3, seconds=1.5
+    ),
+    ("store_v1", "json", None): {
+        "ranking": ["Arima", "bats"],
+        "n": 3,
+        "ok": True,
+        "x": None,
+        "f": 0.1,
+    },
+}
+STORE_V1_BLOBS = [
+    np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0,
+    np.arange(250, 256, dtype=np.uint8),
+]
+
+
+class TestStoreV1Fixture:
+    """Stores written before the local store layers merged still hit."""
+
+    @pytest.fixture()
+    def v1_copy(self, tmp_path):
+        # Reads evict what they cannot decode: never read the fixture in place.
+        return Path(shutil.copytree(STORE_V1, tmp_path / "store_v1"))
+
+    def test_records_and_blobs_read_back_through_the_backend(self, v1_copy):
+        store = LocalFSBackend(v1_copy)
+        assert len(store) == len(STORE_V1_RECORDS)
+        for key, value in STORE_V1_RECORDS.items():
+            assert store.get(key_digest(key)) == value
+        for array in STORE_V1_BLOBS:
+            loaded = store.get_blob(array_digest(array))
+            assert loaded.dtype == array.dtype and loaded.shape == array.shape
+            assert np.array_equal(loaded, array)
+
+    def test_records_hit_through_the_evaluation_cache(self, v1_copy):
+        cache = EvaluationCache(store=str(v1_copy))
+        for key, value in STORE_V1_RECORDS.items():
+            assert cache.get(key) == value
+        assert cache.stats.disk_hits == len(STORE_V1_RECORDS)
+        assert cache.stats.misses == 0
+
+    def test_rewriting_the_values_gives_identical_files(self, tmp_path):
+        store = LocalFSBackend(tmp_path / "fresh")
+        for key, value in STORE_V1_RECORDS.items():
+            digest = key_digest(key)
+            assert store.put(digest, value)
+            written = store.record_path(digest)
+            assert written.relative_to(store.root) == Path(digest[:2], f"{digest}.json")
+            assert written.read_bytes() == (STORE_V1 / digest[:2] / f"{digest}.json").read_bytes()
+        for array in STORE_V1_BLOBS:
+            digest = array_digest(array)
+            assert store.put_blob(digest, array)
+            # numpy owns the ``.npy`` header bytes: compare the array, not the file.
+            original = np.load(STORE_V1 / "blobs" / digest[:2] / f"{digest}.npy")
+            rewritten = np.load(store.blob_path(digest))
+            assert rewritten.dtype == original.dtype and rewritten.shape == original.shape
+            assert np.array_equal(rewritten, original)
 
 
 class TestAtomicWriteStaging:
@@ -137,20 +203,20 @@ class TestAtomicWriteStaging:
         monkeypatch.setattr(os, "replace", strict_replace)
 
     def test_record_put_survives_exdev_world(self, tmp_path, exdev_guard):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         digest = key_digest(("exdev", "record"))
         assert store.put(digest, FitScoreResult(tag=0, score=1.0, seconds=0.1, n_train=10))
         assert store.get(digest).score == 1.0
 
     def test_blob_put_survives_exdev_world(self, tmp_path, exdev_guard):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         array = np.arange(256.0)
         assert store.put_blob("ab" * 8, array)
         assert np.array_equal(store.get_blob("ab" * 8), array)
 
     def test_manifest_write_survives_exdev_world(self, tmp_path, exdev_guard):
         path = tmp_path / "deep" / "nested" / "manifest.json"
-        atomic_write_text(path, '{"cells": []}')
+        LocalFSBackend().write_doc(str(path), '{"cells": []}')
         assert path.read_text(encoding="utf-8") == '{"cells": []}'
 
     def test_temp_files_are_staged_next_to_the_destination(self, tmp_path, monkeypatch):
@@ -164,19 +230,22 @@ class TestAtomicWriteStaging:
             return real_mkstemp(*args, **kwargs)
 
         monkeypatch.setattr(tempfile_module, "mkstemp", spying_mkstemp)
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         digest = key_digest(("spy", 1))
         store.put(digest, FitScoreResult(tag=0, score=1.0, seconds=0.1, n_train=10))
         store.put_blob("cd" * 8, np.arange(16.0))
         assert staged_dirs == [
-            store.path_for(digest).parent,
+            store.record_path(digest).parent,
             store.blob_path("cd" * 8).parent,
         ]
 
     def test_no_temp_litter_after_writes(self, tmp_path):
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         store.put(key_digest(("clean", 1)), FitScoreResult(0, 1.0, 0.1, 10))
         store.put_blob("ef" * 8, np.arange(32.0))
+        # ``np.save`` refuses an object array with ValueError mid-write: the
+        # refused blob must not leave its staged temp file behind.
+        assert not store.put_blob("ab" * 8, np.array([object(), 1], dtype=object))
         leftovers = [p for p in tmp_path.rglob(".tmp-*")]
         assert leftovers == []
 
@@ -246,19 +315,19 @@ class TestTwoTierCache:
         return cache.make_key(template, train, test, 6)
 
     def test_disk_tier_survives_the_instance(self, tmp_path):
-        first = EvaluationCache(cache_dir=tmp_path)
+        first = EvaluationCache(store=tmp_path)
         result = FitScoreResult(tag=0, score=-2.0, seconds=0.3, n_train=20)
         first.put(self._key(first), result)
 
-        second = EvaluationCache(cache_dir=tmp_path)
+        second = EvaluationCache(store=tmp_path)
         assert second.get(self._key(second)) == result
         stats = second.stats
         assert stats.hits == 1 and stats.disk_hits == 1 and stats.misses == 0
 
     def test_disk_hit_promoted_to_memory(self, tmp_path):
-        first = EvaluationCache(cache_dir=tmp_path)
+        first = EvaluationCache(store=tmp_path)
         first.put(self._key(first), FitScoreResult(0, 1.0, 0.1, 20))
-        second = EvaluationCache(cache_dir=tmp_path)
+        second = EvaluationCache(store=tmp_path)
         key = self._key(second)
         second.get(key)
         second.get(key)
@@ -266,7 +335,7 @@ class TestTwoTierCache:
         assert stats.hits == 2 and stats.disk_hits == 1  # second hit was in-memory
 
     def test_memory_eviction_keeps_persisted_records(self, tmp_path):
-        cache = EvaluationCache(max_entries=1, cache_dir=tmp_path)
+        cache = EvaluationCache(max_entries=1, store=tmp_path)
         keys = [self._key(cache, n=n) for n in (10, 11)]
         cache.put(keys[0], FitScoreResult(0, 1.0, 0.1, 10))
         cache.put(keys[1], FitScoreResult(1, 2.0, 0.1, 11))  # evicts keys[0] from memory
@@ -375,12 +444,12 @@ class TestTDaubPersistentCache:
         t = np.arange(240.0)
         return 30.0 + 0.4 * t + 6.0 * np.sin(2 * np.pi * t / 12.0)
 
-    def _selector(self, cache_dir):
+    def _selector(self, store_dir):
         return TDaub(
             pipelines=[ZeroModelForecaster(horizon=8), DriftForecaster(horizon=8)],
             horizon=8,
             min_allocation_size=40,
-            cache_dir=str(cache_dir),
+            store=str(store_dir),
         )
 
     def test_warm_rerun_served_from_disk_with_identical_ranking(self, tmp_path):
@@ -405,12 +474,12 @@ class TestTDaubPersistentCache:
             pipelines=[_Broken(horizon=8), ZeroModelForecaster(horizon=8)],
             horizon=8,
             min_allocation_size=40,
-            cache_dir=str(tmp_path),
+            store=str(tmp_path),
         ).fit(self._series())
         assert selector.evaluations_["_Broken"].failed
-        store = DiskStore(tmp_path)
+        store = LocalFSBackend(tmp_path)
         assert len(store) > 0  # the healthy pipeline's results are persisted
-        for path in store.cache_dir.glob("*/*.json"):
+        for path in store.root.glob("*/*.json"):
             record = json.loads(path.read_text(encoding="utf-8"))
             assert record["payload"]["error"] == ""
 
@@ -419,10 +488,10 @@ class TestTDaubPersistentCache:
             pipelines=[ZeroModelForecaster(horizon=8)],
             horizon=8,
             memoize=False,
-            cache_dir=str(tmp_path),
+            store=str(tmp_path),
         ).fit(self._series())
         assert selector.cache_stats_ is None
-        assert len(DiskStore(tmp_path)) == 0
+        assert len(LocalFSBackend(tmp_path)) == 0
 
 
 class _CallableScorer:
@@ -471,8 +540,8 @@ def _fingerprint_in_subprocess(queue):
     queue.put(_value_fingerprint(_example_scorer))
 
 
-def _writer_process(cache_dir: str, offset: int) -> None:
-    store = DiskStore(cache_dir)
+def _writer_process(store_dir: str, offset: int) -> None:
+    store = LocalFSBackend(store_dir)
     for index in range(10):
         key = key_digest(("distinct", offset + index))
         store.put(
