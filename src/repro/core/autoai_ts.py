@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import as_2d_array, check_fraction, check_horizon
-from ..exceptions import InvalidParameterError, NotFittedError
+from ..exceptions import InvalidParameterError, NonFiniteForecastError, NotFittedError
 from ..forecasters.naive import ZeroModelForecaster
 from ..metrics.errors import smape
 from .base import BaseForecaster
@@ -295,16 +295,27 @@ class AutoAITS(BaseForecaster):
         """Forecast future values with the selected pipeline.
 
         Returns a 2-D array with ``horizon`` rows and one column per input
-        series (paper section 3 data semantics).
+        series (paper section 3 data semantics).  Raises
+        :class:`~repro.exceptions.NonFiniteForecastError` instead of
+        returning NaN or inf, e.g. when the continuation exceeds float64.
         """
         if not hasattr(self, "best_pipeline_"):
             raise NotFittedError("AutoAITS")
         horizon = check_horizon(
             horizon if horizon is not None else self.prediction_horizon
         )
-        forecast = np.asarray(self.best_pipeline_.predict(horizon), dtype=float)
+        # Overflow surfaces as the error below, not as a RuntimeWarning.
+        with np.errstate(all="ignore"):
+            forecast = np.asarray(self.best_pipeline_.predict(horizon), dtype=float)
         if forecast.ndim == 1:
             forecast = forecast.reshape(-1, 1)
+        finite_rows = np.isfinite(forecast).all(axis=1)
+        if not finite_rows.all():
+            step = int(np.argmin(finite_rows)) + 1
+            raise NonFiniteForecastError(
+                f"pipeline {self.best_pipeline_name_!r} forecast is non-finite "
+                f"at step {step} of {horizon}"
+            )
         if self.positive_forecasts:
             forecast = np.clip(forecast, 0.0, None)
         return forecast

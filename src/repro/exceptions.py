@@ -30,7 +30,7 @@ class InvalidParameterError(ReproError, ValueError):
 
 
 class NonFiniteForecastError(ReproError, ValueError):
-    """Raised when a forecast about to be served contains NaN or inf values."""
+    """Raised when a forecast about to be returned or served contains NaN or inf."""
 
 
 class ConvergenceWarning(UserWarning):

@@ -20,12 +20,14 @@ organizing idea is that **a fitted model is just another store object**:
     CircuitBreaker` pair on the hydration path.
 
 :mod:`repro.serve.batcher`
-    ``MicroBatcher`` queues predict requests per model digest and flushes
-    them by batch window (``max_batch`` / ``max_delay_ms``), executing
-    **one** vectorized ``predict`` per flush on a thread pool and slicing
-    each request's horizon out of the shared forecast — the core
-    throughput optimisation.  Queues are bounded; excess load is shed
-    fast (HTTP 429) instead of growing without bound.
+    ``MicroBatcher`` queues predict requests per model digest.  A request
+    for an idle model is dispatched on the next loop tick; requests queued
+    behind a running invocation wait for batch-mates (up to ``max_batch``
+    requests or ``max_delay_ms``).  Each flush executes **one** vectorized
+    ``predict`` on a thread pool and slices each request's horizon out of
+    the shared forecast — the core throughput optimisation.  Queues are
+    bounded; excess load is shed fast (HTTP 429) instead of growing
+    without bound.
 
 :mod:`repro.serve.server`
     ``ServingReplica`` is the asyncio HTTP front end: request routing,

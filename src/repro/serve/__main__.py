@@ -43,7 +43,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=7272, help="listen port (0 = any)")
     parser.add_argument("--max-batch", type=int, default=32, help="requests per flush")
     parser.add_argument(
-        "--max-delay-ms", type=float, default=2.0, help="batch window in milliseconds"
+        "--max-delay-ms",
+        type=float,
+        default=2.0,
+        help="longest a request waits for batch-mates while its model is busy, in "
+        "milliseconds (a request for an idle model is dispatched at once)",
     )
     parser.add_argument(
         "--max-queue", type=int, default=1024, help="queued requests per model before 429"

@@ -5,9 +5,13 @@ Forecast requests against one fitted model are *perfectly* batchable:
 ``max(h)`` steps contains the forecast of every shorter horizon as a
 prefix.  The :class:`MicroBatcher` exploits that shape:
 
-- Requests are queued **per model digest**.  The first request of a batch
-  arms a flush timer (``max_delay_ms``); the batch flushes when the timer
-  fires or when ``max_batch`` requests have accumulated, whichever is
+- Requests are queued **per model digest**.  A request for an idle
+  model (none of its invocations in flight) is flushed on the next
+  event-loop tick, together with whatever else was submitted in the same
+  tick: waiting for batch-mates that cannot arrive would only add
+  latency.  A request queued behind a running invocation waits for
+  batch-mates up to ``max_delay_ms``; its batch flushes when that window
+  closes or when ``max_batch`` requests have accumulated, whichever is
   first.  An idle model costs nothing; a hot model flushes continuously.
 - Each flush runs **one** ``predict(max(horizons))`` on the worker pool
   and answers every request in the batch with a zero-copy slice of the
@@ -101,18 +105,22 @@ class _ModelMetrics:
 
 
 class _Lane:
-    """Pending requests of one model digest."""
+    """Pending requests and in-flight invocations of one model digest."""
 
-    __slots__ = ("pending", "timer")
+    __slots__ = ("pending", "timer", "inflight")
 
     def __init__(self) -> None:
         # (horizon, enqueue time, future)
         self.pending: list[tuple[int, float, asyncio.Future]] = []
         self.timer: asyncio.TimerHandle | None = None
+        self.inflight = 0
 
 
 class MicroBatcher:
-    """Per-digest request queues flushed by batch window onto an executor.
+    """Per-digest request queues flushed onto an executor.
+
+    A lane with no invocation in flight flushes on the next loop tick; a
+    busy lane gathers batch-mates for up to ``max_delay_ms``.
 
     Parameters
     ----------
@@ -125,7 +133,9 @@ class MicroBatcher:
     max_batch:
         Requests answered by one model invocation at most.
     max_delay_ms:
-        Longest a request waits for batch-mates before its flush fires.
+        Longest a request waits for batch-mates while its model is busy
+        (an invocation of the same digest is in flight).  A request for
+        an idle model does not wait.
     max_queue:
         Bound on queued requests per digest; beyond it requests are shed
         with :class:`ServeOverloadError`.
@@ -186,7 +196,8 @@ class MicroBatcher:
         if len(lane.pending) >= self.max_batch:
             self._flush(digest)
         elif lane.timer is None:
-            lane.timer = loop.call_later(self.max_delay, self._flush, digest)
+            delay = self.max_delay if lane.inflight else 0.0
+            lane.timer = loop.call_later(delay, self._flush, digest)
         return await future
 
     # -- flushing --------------------------------------------------------------
@@ -208,6 +219,7 @@ class MicroBatcher:
         horizons = [entry[0] for entry in batch]
         loop = asyncio.get_running_loop()
         job = loop.run_in_executor(self.executor, self._execute, digest, max(horizons))
+        lane.inflight += 1
         self._inflight.add(job)
         job.add_done_callback(lambda done, b=batch, d=digest: self._complete(d, b, done))
 
@@ -220,6 +232,7 @@ class MicroBatcher:
         return forecast
 
     def _complete(self, digest: str, batch: list, job: asyncio.Future) -> None:
+        self._lanes[digest].inflight -= 1
         self._inflight.discard(job)
         metrics = self._model_metrics(digest)
         error = job.exception() if not job.cancelled() else asyncio.CancelledError()

@@ -70,7 +70,9 @@ class ServingReplica:
     host, port:
         Listen address; ``port=0`` binds an ephemeral port (``.url``).
     max_batch, max_delay_ms, max_queue:
-        Micro-batch window and queue bound per model digest (see
+        Batch size, the longest a request waits for batch-mates while its
+        model is busy (a request for an idle model is dispatched on the
+        next loop tick), and the queue bound per model digest (see
         :class:`~repro.serve.batcher.MicroBatcher`).
     capacity:
         Hydrated models kept resident (LRU beyond it).
@@ -368,7 +370,9 @@ class ServingReplica:
             horizon = int(request.get("horizon", 1))
             if horizon < 1:
                 raise ValueError("horizon must be >= 1")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
+            # int() raises TypeError for null, lists and objects, and
+            # OverflowError for the JSON extension Infinity.
             return 400, {"error": f"bad predict request: {exc}"}
         entry = self._table.get(name)
         if entry is None:

@@ -1,10 +1,12 @@
 """Integration tests for the AutoAITS zero-conf orchestrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import AutoAITS
-from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.exceptions import InvalidParameterError, NonFiniteForecastError, NotFittedError
 from repro.metrics import smape
 
 #: A small pipeline subset keeps the orchestration tests fast while still
@@ -114,3 +116,17 @@ class TestInputHandling:
     def test_horizon_longer_than_trained_still_works(self, seasonal_series):
         model = AutoAITS(prediction_horizon=4, pipeline_names=["HW_Additive"]).fit(seasonal_series)
         assert model.predict(20).shape == (20, 1)
+
+    def test_overflowing_forecast_raises_typed_error(self):
+        # The true continuation of exp(5.5 t) leaves float64 at step 11.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = AutoAITS(prediction_horizon=12).fit(np.exp(5.5 * np.arange(120.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteForecastError, match="step 11 of 12") as error:
+                model.predict(12)
+            forecast = model.predict(10)
+        assert model.best_pipeline_name_ in str(error.value)
+        assert forecast.shape == (10, 1)
+        assert np.all(np.isfinite(forecast))

@@ -347,6 +347,63 @@ class TestMicroBatcher:
         assert model.calls == 1
         assert elapsed < 5.0
 
+    def test_idle_lane_dispatches_without_the_window(self):
+        model = _CountingModel()
+        resolved = []
+
+        def resolve(digest):
+            resolved.append(digest)
+            if len(resolved) == 1:
+                raise RuntimeError("boom")
+            return model
+
+        with ThreadPoolExecutor(2) as pool:
+            async def scenario():
+                batcher = MicroBatcher(
+                    resolve=resolve,
+                    executor=pool,
+                    max_batch=16,
+                    max_delay_ms=60_000.0,  # only a busy lane may wait this long
+                )
+                # Each lone request finds the lane idle again, whether the
+                # invocation before it raised or returned.
+                with pytest.raises(RuntimeError, match="boom"):
+                    await asyncio.wait_for(batcher.submit("d1", 3), 5.0)
+                return [
+                    await asyncio.wait_for(batcher.submit("d1", 3), 5.0)
+                    for _ in range(2)
+                ]
+
+            results = _run(scenario())
+        assert model.calls == 2
+        for result in results:
+            assert result.batch_size == 1
+            assert result.forecast[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    def test_busy_lane_gathers_batch_mates(self):
+        model = _CountingModel(delay=0.3)
+        with ThreadPoolExecutor(2) as pool:
+            async def scenario():
+                batcher = MicroBatcher(
+                    resolve=lambda digest: model,
+                    executor=pool,
+                    max_batch=3,
+                    max_delay_ms=60_000.0,
+                )
+                first = asyncio.ensure_future(batcher.submit("d1", 2))
+                await asyncio.sleep(0.05)  # A is running on the pool
+                # B arrives alone behind A and must wait for C and D.
+                second = asyncio.ensure_future(batcher.submit("d1", 2))
+                await asyncio.sleep(0.03)
+                rest = [batcher.submit("d1", 2) for _ in range(2)]
+                return await asyncio.wait_for(
+                    asyncio.gather(first, second, *rest), 5.0
+                )
+
+            results = _run(scenario())
+        assert model.calls == 2
+        assert [result.batch_size for result in results] == [1, 3, 3, 3]
+
     def test_lanes_are_per_digest(self):
         models = {"a": _CountingModel(), "b": _CountingModel()}
         with ThreadPoolExecutor(2) as pool:

@@ -158,6 +158,13 @@ class TestPredictEndpoint:
     def test_error_statuses(self, serving):
         assert _request(serving.url, "POST", "/predict/nope", {"horizon": 2})[0] == 404
         assert _request(serving.url, "POST", "/predict/energy", {"horizon": 0})[0] == 400
+        for horizon in (None, [2], {}, float("inf")):
+            status, payload = _request(
+                serving.url, "POST", "/predict/energy", {"horizon": horizon}
+            )
+            assert status == 400, horizon
+            assert payload["error"].startswith("bad predict request"), payload
+        assert _request(serving.url, "POST", "/predict/energy", {"horizon": 2})[0] == 200
         assert _request(serving.url, "GET", "/predict/energy")[0] == 405
         assert _request(serving.url, "GET", "/does-not-exist")[0] == 404
 
