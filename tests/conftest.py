@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen-golden",
+        action="store_true",
+        default=False,
+        help="rewrite tests/golden/rankings.json from this checkout before comparing",
+    )
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
