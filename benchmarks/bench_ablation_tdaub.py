@@ -2,7 +2,8 @@
 
 The design choice behind section 4.2 is that allocating the *most recent*
 data first (reverse allocation) ranks pipelines more faithfully on time
-series than the original Daub's oldest-first allocation, while both are much
+series than the original Daub's oldest-first allocation
+(``TDaub(allocation_direction="oldest_first")``), while both are much
 cheaper than training every pipeline on the full data.  The benchmark runs
 the three selectors on a regime-change series (old regime flat, recent
 regime trending) and compares selection quality and cost.
@@ -14,7 +15,7 @@ import time
 
 import numpy as np
 
-from repro.core import Daub, TDaub, clone
+from repro.core import TDaub, clone
 from repro.core.registry import PipelineRegistry
 from repro.metrics import smape
 
@@ -57,7 +58,14 @@ def test_ablation_tdaub_vs_daub_vs_full(benchmark):
     )
 
     daub_smape, daub_seconds, _ = _evaluate_selector(
-        Daub(pipelines=_pipelines(), horizon=_HORIZON, min_allocation_size=40), train, test
+        TDaub(
+            pipelines=_pipelines(),
+            horizon=_HORIZON,
+            min_allocation_size=40,
+            allocation_direction="oldest_first",
+        ),
+        train,
+        test,
     )
 
     # "Full evaluation": every pipeline trained on all the data, best kept.

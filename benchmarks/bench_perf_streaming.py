@@ -124,7 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         return TDaub(
             _pipelines(latency, grid["horizon"], count),
             eval_protocol="rolling_origin",
-            memoize=True,
             warm_start=warm_start,
             **grid,
         )

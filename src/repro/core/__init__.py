@@ -9,7 +9,6 @@ from .base import (
     check_is_fitted,
     clone,
 )
-from .daub import Daub
 from .lookback import DEFAULT_LOOKBACK, LookbackDiscovery, LookbackResult
 from .pipeline import ForecastingPipeline
 from .progress import ProgressReporter
@@ -26,7 +25,6 @@ __all__ = [
     "BaseTransformer",
     "check_is_fitted",
     "clone",
-    "Daub",
     "LookbackDiscovery",
     "LookbackResult",
     "DEFAULT_LOOKBACK",

@@ -20,14 +20,19 @@ ranking — deterministic regardless of worker completion order.  An
 :class:`~repro.exec.EvaluationCache` memoizes ``(pipeline parameters, data
 slice, horizon)`` so identical refits (e.g. the scoring-phase retrain of a
 pipeline that already reached the full allocation) are never recomputed.
+
+The allocation policy itself is :func:`allocation_schedule`, a generator of
+batches that reads recorded scores but never fits, caches, reads the clock
+or touches an executor; :meth:`TDaub.fit` runs one loop over it.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -135,6 +140,86 @@ class TDaubWarmState:
     cache: EvaluationCache | None = field(default=None, repr=False)
 
 
+def allocation_schedule(
+    names: Sequence[str],
+    evaluations: dict[str, PipelineEvaluation],
+    full_length: int,
+    grid: tuple[int, int, int],
+    geo_increment_size: float,
+    run_to_completion: int,
+    wave_width: int,
+) -> Generator[tuple[str, int, list[tuple[str, int]]], bool, None]:
+    """T-Daub's allocation policy as a sequence of evaluation batches.
+
+    Yields ``(phase, allocation, cells)``: ``phase`` is ``"fixed"``,
+    ``"accelerate"`` or ``"score"``, ``cells`` the ``(name, allocation)``
+    pairs to evaluate as one batch and ``allocation`` the largest of them.
+    Before resuming, the caller records every cell's score in
+    ``evaluations[name]`` and sends ``True``; sending ``False`` declines a
+    batch (the budget ran out), after which the next batch is the scoring
+    one.  The last batch always scores the top ``run_to_completion``
+    pipelines by projection at ``full_length``.  ``grid`` is
+    ``(min_allocation, allocation_size, cutoff)``.
+
+    The schedule never fits, caches, reads the clock or touches an
+    executor: it reads the recorded scores and updates the projections.
+    """
+    L = full_length
+    min_allocation, allocation_size, cutoff = grid
+    if L <= min_allocation:
+        # Smaller than the minimum allocation: every pipeline sees it all.
+        yield "score", L, [(name, L) for name in names]
+        return
+
+    # Fixed allocation: every round evaluates every pipeline on one slice.
+    running = True
+    for run_index in range(1, max(int(cutoff / min_allocation), 1) + 1):
+        allocation = min(min_allocation * run_index, L)
+        running = yield "fixed", allocation, [(name, allocation) for name in names]
+        if not running or allocation >= L:
+            break
+    for name in names:
+        evaluations[name].project(L)
+
+    # Acceleration: waves of up to ``wave_width`` pipelines, popped by
+    # projection, grow geometrically.  Submission order breaks ties, so the
+    # schedule is deterministic; a -inf projection (no finite score at any
+    # allocation) never re-enters the heap.
+    heap = [
+        (-evaluations[name].projected_score, order, name)
+        for order, name in enumerate(names)
+        if np.isfinite(evaluations[name].projected_score)
+    ]
+    heapq.heapify(heap)
+    reached = dict.fromkeys(names, allocation)
+    while running and heap:
+        wave: list[tuple[int, str, int]] = []
+        while heap and len(wave) < wave_width:
+            _, order, name = heapq.heappop(heap)
+            current = reached[name]
+            if current >= L:
+                continue
+            step = max(current + allocation_size, int(current * float(geo_increment_size)))
+            step = int(np.ceil(step / allocation_size) * allocation_size)
+            wave.append((order, name, min(step, L)))
+        if not wave:
+            break
+        cells = [(name, size) for _, name, size in wave]
+        if not (yield "accelerate", max(size for _, size in cells), cells):
+            break
+        for order, name, size in wave:
+            reached[name] = size
+            projection = evaluations[name].project(L)
+            if size < L and np.isfinite(projection):
+                heapq.heappush(heap, (-projection, order, name))
+        if sum(1 for size in reached.values() if size >= L) >= run_to_completion:
+            break
+
+    # Scoring: retrain the top pipelines on the full split (stable order).
+    provisional = sorted(names, key=lambda n: evaluations[n].projected_score, reverse=True)
+    yield "score", L, [(name, L) for name in provisional[:run_to_completion]]
+
+
 class TDaub(BaseEstimator):
     """Pipeline ranking and selection by incremental reverse data allocation.
 
@@ -161,7 +246,8 @@ class TDaub(BaseEstimator):
         split).
     allocation_direction:
         ``"recent_first"`` (T-Daub's reverse allocation) or ``"oldest_first"``
-        (the original Daub behaviour, kept for the ablation benchmark).
+        (the original Daub of Sabharwal, Samulowitz & Tesauro, AAAI 2015,
+        which the ablation benchmark compares against).
     n_jobs:
         Width of each evaluation batch *and* worker count of auto-created
         executors.  The acceleration phase pops up to ``n_jobs`` pipelines
@@ -172,10 +258,6 @@ class TDaub(BaseEstimator):
         Execution backend: ``None`` (serial for ``n_jobs<=1``, processes
         otherwise), an alias (``"serial"``, ``"threads"``, ``"processes"``)
         or a :class:`~repro.exec.BaseExecutor` instance.
-    memoize:
-        Cache ``(pipeline params, slice, horizon) -> score`` within this fit
-        so identical re-evaluations (e.g. the scoring-phase retrain of a
-        fully allocated pipeline) are free.  On by default.
     dataplane:
         Use the execution backend's zero-copy data plane when it provides
         one: the training and test splits are registered once per fit
@@ -190,10 +272,9 @@ class TDaub(BaseEstimator):
         A persistent evaluation store shared across fits, processes and
         runs: a directory path, an ``http://`` URL of a
         ``python -m repro.store.server`` object store (for shards with no
-        shared filesystem), or any :class:`~repro.store.StoreBackend`.
-        Requires ``memoize=True`` (the default); a warm re-run against
-        the same data serves every evaluation from the store.  ``None``
-        keeps the cache in-memory only.
+        shared filesystem), or any :class:`~repro.store.StoreBackend`.  A
+        warm re-run against the same data serves every evaluation from the
+        store.  ``None`` keeps the cache in-memory only.
     budget:
         Wall-clock budget in seconds for the whole ranking run.  Enforced
         cooperatively on every backend: once exhausted, remaining
@@ -254,7 +335,6 @@ class TDaub(BaseEstimator):
         verbose: bool = False,
         n_jobs: int | None = None,
         executor: str | BaseExecutor | None = None,
-        memoize: bool = True,
         dataplane: bool = True,
         store=None,
         budget: float | None = None,
@@ -276,7 +356,6 @@ class TDaub(BaseEstimator):
         self.verbose = verbose
         self.n_jobs = n_jobs
         self.executor = executor
-        self.memoize = memoize
         self.dataplane = dataplane
         self.store = store
         self.budget = budget
@@ -289,24 +368,6 @@ class TDaub(BaseEstimator):
     def _log(self, message: str) -> None:
         if self.verbose:
             print(f"[T-Daub] {message}")
-
-    def _pipeline_name(self, pipeline: BaseForecaster, index: int) -> str:
-        name = getattr(pipeline, "name", None) or type(pipeline).__name__
-        return f"{name}#{index}" if self._name_counts.get(name, 0) > 1 else name
-
-    def _allocation_slice(self, T1, allocation: int):
-        """Return the training slice for a given allocation size.
-
-        ``T1`` is the training split as an array *or* a data-plane
-        :class:`~repro.exec.ArrayRef` — both support ``len`` and
-        contiguous row slicing, so a reverse allocation is literally the
-        same expression either way (for refs it derives a ``(base_ref,
-        offset)`` pair without touching the data).
-        """
-        allocation = min(allocation, len(T1))
-        if self.allocation_direction == "recent_first":
-            return T1[len(T1) - allocation :]
-        return T1[:allocation]
 
     def _notify_progress(self, phase: str, allocation: int) -> None:
         """Record one cost-curve point and report progress outward.
@@ -364,22 +425,20 @@ class TDaub(BaseEstimator):
                 self._prefix_limit is not None
                 and len(train) + len(test) <= self._prefix_limit
             )
-            key = None
-            if self._cache is not None:
-                key = self._cache.make_key(
-                    template, train, test, self.horizon, self.scorer, plane=self._plane
-                )
-                hit = self._cache.get(key, prefix=is_prefix)
-                if hit is not None:
-                    # The wall clock spent on a cache hit is ~0; keep the
-                    # per-pipeline timing honest by not re-charging it.
-                    results[index] = replace(hit, seconds=0.0, from_cache=True)
-                    if is_prefix:
-                        self.warm_hits_ += 1
-                    continue
+            key = self._cache.make_key(
+                template, train, test, self.horizon, self.scorer, plane=self._plane
+            )
+            hit = self._cache.get(key, prefix=is_prefix)
+            if hit is not None:
+                # The wall clock spent on a cache hit is ~0; keep the
+                # per-pipeline timing honest by not re-charging it.
+                results[index] = replace(hit, seconds=0.0, from_cache=True)
+                if is_prefix:
+                    self.warm_hits_ += 1
+                continue
             if is_prefix and self._warm is not None:
-                # Cache record evicted (or no cache): fall back to the warm
-                # state's recorded score point for this exact cell.  Scores
+                # Cache record evicted: fall back to the warm state's
+                # recorded score point for this exact cell.  Scores
                 # are pure functions of (pipeline, train, test), so the
                 # recorded value is what a re-fit would compute.
                 point = self._warm.points.get((name, int(len(train))))
@@ -391,8 +450,7 @@ class TDaub(BaseEstimator):
                         n_train=int(len(train)),
                         from_cache=True,
                     )
-                    if key is not None:
-                        self._cache.put(key, result, persist=False)
+                    self._cache.put(key, result, persist=False)
                     results[index] = result
                     self.warm_hits_ += 1
                     continue
@@ -445,7 +503,7 @@ class TDaub(BaseEstimator):
                         # Preempted/skipped by the run deadline, not broken:
                         # the pipeline must not be reported as failed.
                         deadline_skips.add(index)
-                elif key is not None:
+                else:
                     # In-task failures stay memory-only: they are often
                     # environment-specific (missing optional dependency,
                     # resource exhaustion) and must not poison other runs
@@ -497,7 +555,6 @@ class TDaub(BaseEstimator):
                 plane.close()
 
     def _fit(self, T, start_time: float) -> "TDaub":
-        self._batch_size = max(1, resolve_n_jobs(self.n_jobs))
         self._fit_start = start_time
         self._cost_curve: list[tuple[float, float]] = []
         self.cost_projection_: float | None = None
@@ -521,9 +578,7 @@ class TDaub(BaseEstimator):
         if warm is not None and warm.cost_projection is not None:
             self.cost_projection_ = float(warm.cost_projection)
 
-        if not self.memoize:
-            self._cache = None
-        elif warm is not None and warm.cache is not None and self.store is None:
+        if warm is not None and warm.cache is not None and self.store is None:
             # Adopt the prior ranking's cache wholesale: its memory tier
             # already holds every prefix cell, so a warm re-rank hits even
             # without a persistent store.  Stats reset so this run's
@@ -578,12 +633,13 @@ class TDaub(BaseEstimator):
                 T2 = self._plane.register(T2)
 
         def _train(allocation: int):
+            # T1 is an array or a data-plane ArrayRef: both slice rows
+            # without copying.  Rolling origin is inherently oldest-first:
+            # the train slice is the prefix the test window rolls away from.
             allocation = min(int(allocation), L)
-            if rolling:
-                # Rolling origin is inherently oldest-first: the train
-                # slice is the prefix the test window rolls away from.
+            if rolling or self.allocation_direction == "oldest_first":
                 return T1[:allocation]
-            return self._allocation_slice(T1, allocation)
+            return T1[L - allocation :]
 
         def _test(allocation: int):
             if rolling:
@@ -614,194 +670,76 @@ class TDaub(BaseEstimator):
             cutoff = 5 * allocation_size
         self._grid = (min_allocation, allocation_size, cutoff)
 
-        # Name bookkeeping (duplicate pipeline classes get an index suffix).
-        self._name_counts: dict[str, int] = {}
-        for pipeline in self.pipelines:
-            name = getattr(pipeline, "name", None) or type(pipeline).__name__
-            self._name_counts[name] = self._name_counts.get(name, 0) + 1
-        names = [self._pipeline_name(p, i) for i, p in enumerate(self.pipelines)]
+        # Duplicate pipeline names get an index suffix.
+        base_names = [getattr(p, "name", None) or type(p).__name__ for p in self.pipelines]
+        counts = Counter(base_names)
+        names = [
+            f"{name}#{index}" if counts[name] > 1 else name
+            for index, name in enumerate(base_names)
+        ]
         templates = dict(zip(names, self.pipelines))
-
         evaluations = {name: PipelineEvaluation(name=name) for name in names}
 
-        # Degenerate case: data set smaller than the minimum allocation — give
-        # everything to every pipeline and rank on the full data.
-        if L <= min_allocation:
-            self._log("Training set smaller than min_allocation_size; full evaluation.")
-            scores = self._evaluate_batch(
-                [(name, templates[name], _train(L), _test(L)) for name in names],
-                evaluations,
-            )
-            self._notify_progress("score", L)
-            for name, score in zip(names, scores):
-                evaluations[name].final_score = score
-            # Explicit None check: a perfect forecast scores -0.0, which is
-            # falsy and must not be confused with "never scored".
-            ranked = sorted(
-                names,
-                key=lambda n: (
-                    evaluations[n].final_score
-                    if evaluations[n].final_score is not None
-                    else -np.inf
-                ),
-                reverse=True,
-            )
-            self._finalise(T, ranked, evaluations, start_time)
-            return self
-
-        # -- 1. fixed allocation ------------------------------------------------
-        # Every round is one batch: all pipelines share the same slice and
-        # are independent of one another.
-        num_fix_runs = max(int(cutoff / min_allocation), 1)
-        for run_index in range(1, num_fix_runs + 1):
-            if self._deadline is not None and self._deadline.expired:
-                self._log("Budget exhausted during fixed allocation; stopping early.")
-                break
-            allocation = min(min_allocation * run_index, L)
-            self._log(f"Fixed allocation {run_index}/{num_fix_runs}: {allocation} samples")
-            train = _train(allocation)
-            test = _test(allocation)
-            self._evaluate_batch(
-                [(name, templates[name], train, test) for name in names], evaluations
-            )
-            self._notify_progress("fixed", allocation)
-            if allocation >= L:
-                break
-
-        for name in names:
-            evaluations[name].project(L)
-
-        # -- 2. allocation acceleration (priority queue, geometric growth) ------
-        # Waves of up to ``n_jobs`` pipelines are popped from the heap and
-        # evaluated as one batch.  Heap entries carry the original submission
-        # order so tie-breaking — and with it the whole schedule — stays
-        # deterministic on every backend.  Pipelines whose projection is
-        # -inf (no finite score on any allocation: permanently broken) are
-        # dropped instead of wasting further full fit cycles.
-        heap: list[tuple[float, int, str]] = []
-        # An exhausted budget can end the fixed phase before any round ran,
-        # leaving a pipeline's allocation history empty.
-        last_allocation = {
-            name: (
-                evaluations[name].allocation_sizes[-1]
-                if evaluations[name].allocation_sizes
-                else 0
-            )
-            for name in names
-        }
-        for order, name in enumerate(names):
-            if np.isfinite(evaluations[name].projected_score):
-                heapq.heappush(heap, (-evaluations[name].projected_score, order, name))
-
-        while heap:
-            if self._deadline is not None and self._deadline.expired:
-                self._log("Budget exhausted during acceleration; stopping early.")
-                break
-            wave: list[tuple[int, str, int]] = []
-            while heap and len(wave) < self._batch_size:
-                _, order, name = heapq.heappop(heap)
-                current = last_allocation[name]
-                if current >= L:
-                    # This pipeline has already seen (almost) all data.
-                    continue
-                next_allocation = int(
-                    max(
-                        current + allocation_size,
-                        int(current * float(self.geo_increment_size)),
-                    )
-                )
-                next_allocation = int(
-                    np.ceil(next_allocation / allocation_size) * allocation_size
-                )
-                next_allocation = min(next_allocation, L)
-                wave.append((order, name, next_allocation))
-            if not wave:
-                break
-            self._log(
-                "Acceleration wave: "
-                + ", ".join(f"{name} -> {alloc}" for _, name, alloc in wave)
-            )
-            self._evaluate_batch(
-                [
-                    (name, templates[name], _train(alloc), _test(alloc))
-                    for _, name, alloc in wave
-                ],
-                evaluations,
-            )
-            self._notify_progress(
-                "accelerate", max(alloc for _, _, alloc in wave)
-            )
-            stop = False
-            for order, name, alloc in wave:
-                last_allocation[name] = alloc
-                evaluations[name].project(L)
-                if alloc < L:
-                    if np.isfinite(evaluations[name].projected_score):
-                        heapq.heappush(
-                            heap, (-evaluations[name].projected_score, order, name)
-                        )
-                else:
-                    # Pipeline reached the full length; stop accelerating once
-                    # the top run_to_completion pipelines have reached it.
-                    finished = sum(
-                        1 for allocation in last_allocation.values() if allocation >= L
-                    )
-                    if finished >= int(self.run_to_completion):
-                        stop = True
-            if stop:
-                break
-
-        # -- 3. scoring: retrain the top pipelines on all of T1 ------------------
-        # One final batch; a pipeline that already trained on the full split
-        # during fixed allocation or acceleration is a cache hit here.
-        provisional = sorted(
-            names, key=lambda n: evaluations[n].projected_score, reverse=True
-        )
-        n_final = min(int(self.run_to_completion), len(names))
-        final_names = provisional[:n_final]
-        self._log("Scoring phase: retraining " + ", ".join(final_names) + " on full split")
-        # Even with the budget exhausted the batch is still submitted: cache
-        # hits (a pipeline that already reached the full allocation) are free
-        # and the executor skips the rest under the expired deadline.
-        final_scores = self._evaluate_batch(
-            [(name, templates[name], _train(L), _test(L)) for name in final_names],
+        schedule = allocation_schedule(
+            names,
             evaluations,
+            L,
+            self._grid,
+            self.geo_increment_size,
+            int(self.run_to_completion),
+            max(1, resolve_n_jobs(self.n_jobs)),
         )
-        self._notify_progress("score", L)
-        for name, score in zip(final_names, final_scores):
-            if (
-                self._deadline is not None
-                and self._deadline.expired
-                and not np.isfinite(score)
-            ):
-                # The retrain was skipped, not evaluated: rank the pipeline
-                # on its projection instead of a phantom -inf score.
+        ran = None
+        while True:
+            try:
+                phase, allocation, cells = schedule.send(ran)
+            except StopIteration:
+                break
+            # The scoring batch is always submitted: cache hits are free and
+            # the executor skips the rest under an expired deadline.
+            ran = phase == "score" or self._deadline is None or not self._deadline.expired
+            if not ran:
+                self._log(f"Budget exhausted before a {phase} batch; scoring now.")
                 continue
-            evaluations[name].final_score = score
+            self._log(
+                f"{phase} batch: " + ", ".join(f"{name} -> {size}" for name, size in cells)
+            )
+            # Cells of one allocation share their slices, so a by-value slice
+            # is fingerprinted once per batch, not once per pipeline.
+            slices = {size: (_train(size), _test(size)) for size in {s for _, s in cells}}
+            scores = self._evaluate_batch(
+                [(name, templates[name], *slices[size]) for name, size in cells], evaluations
+            )
+            self._notify_progress(phase, allocation)
+            if phase == "score":
+                expired = self._deadline is not None and self._deadline.expired
+                for (name, _), score in zip(cells, scores):
+                    # A retrain the deadline skipped was never evaluated: the
+                    # projection ranks it, not a phantom -inf score.
+                    if np.isfinite(score) or not expired:
+                        evaluations[name].final_score = score
 
         def _ranking_key(name: str) -> float:
+            # Explicit None check: a perfect forecast scores -0.0, which is
+            # falsy and must not be confused with "never scored".
             evaluation = evaluations[name]
             if evaluation.final_score is not None:
                 return evaluation.final_score
             return evaluation.projected_score
 
         ranked = sorted(names, key=_ranking_key, reverse=True)
-        self._finalise(T, ranked, evaluations, start_time)
+        self._finalise(T, ranked, templates, evaluations, start_time)
         return self
 
     def _finalise(
         self,
         T: np.ndarray,
         ranked: list[str],
+        templates: dict[str, BaseForecaster],
         evaluations: dict[str, PipelineEvaluation],
         start_time: float,
     ) -> None:
         """Retrain the winning pipeline on the full data and store results."""
-        templates = {}
-        for index, pipeline in enumerate(self.pipelines):
-            name = self._pipeline_name(pipeline, index)
-            templates[name] = pipeline
-
         best_pipeline = None
         for name in ranked:
             template = templates[name]
@@ -821,7 +759,7 @@ class TDaub(BaseEstimator):
         self.ranked_names_ = ranked
         self.evaluations_ = evaluations
         self.best_pipeline_ = best_pipeline
-        self.cache_stats_ = self._cache.stats if self._cache is not None else None
+        self.cache_stats_ = self._cache.stats
         self.budget_exhausted_ = bool(self._deadline is not None and self._deadline.expired)
         points: dict = {}
         for name, evaluation in evaluations.items():

@@ -250,6 +250,8 @@ class ServingReplica:
                 try:
                     length = int(headers.get("content-length", "0"))
                 except ValueError:
+                    length = -1
+                if length < 0:
                     await self._reply(writer, 400, {"error": "bad Content-Length"})
                     break
                 if length > _MAX_BODY_BYTES:
@@ -370,9 +372,10 @@ class ServingReplica:
             horizon = int(request.get("horizon", 1))
             if horizon < 1:
                 raise ValueError("horizon must be >= 1")
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             # int() raises TypeError for null, lists and objects, and
-            # OverflowError for the JSON extension Infinity.
+            # OverflowError for the JSON extension Infinity; json.loads
+            # raises RecursionError for deeply nested bodies.
             return 400, {"error": f"bad predict request: {exc}"}
         entry = self._table.get(name)
         if entry is None:

@@ -127,15 +127,13 @@ class StreamingEngine:
         return list(self.ranker_.ranked_names_)
 
     def _make_ranker(self, warm_start=None) -> TDaub:
-        params = dict(self.tdaub_params)
-        params.setdefault("memoize", True)
         return TDaub(
             self.pipelines,
             horizon=self.horizon,
             eval_protocol="rolling_origin",
             n_test=self.n_test,
             warm_start=warm_start,
-            **params,
+            **self.tdaub_params,
         )
 
     def start(self, X0) -> "StreamingEngine":

@@ -68,7 +68,10 @@ class LogTransform(BaseTransformer):
     def inverse_transform(self, X) -> np.ndarray:
         check_is_fitted(self, ("offset_",))
         X = as_2d_array(X)
-        return np.exp(X) - self.offset_
+        # Past ~709.78 exp is inf: the finite checks on cell scores and on
+        # AutoAITS.predict report it, so it must not also warn here.
+        with np.errstate(over="ignore"):
+            return np.exp(X) - self.offset_
 
 
 class SqrtTransform(BaseTransformer):

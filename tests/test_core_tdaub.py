@@ -1,11 +1,11 @@
-"""Tests for T-Daub pipeline ranking and the original-Daub ablation variant."""
+"""Tests for T-Daub pipeline ranking, its allocation schedule and the Daub ablation."""
 
 import numpy as np
 import pytest
 
-from repro.core import Daub, TDaub, clone
+from repro.core import TDaub, clone
 from repro.core.registry import PipelineRegistry
-from repro.core.tdaub import PipelineEvaluation
+from repro.core.tdaub import PipelineEvaluation, allocation_schedule
 from repro.exceptions import InvalidParameterError
 from repro.forecasters.holtwinters import HoltWintersForecaster
 from repro.exec.tasks import FitScoreTask, run_fit_score_task
@@ -97,6 +97,19 @@ class TestTDaub:
         assert selector.evaluations_["DriftForecaster"].final_score < 0.0
         assert selector.ranked_names_[0] == "ZeroModelForecaster"
 
+    def test_small_dataset_under_expired_budget_ranks_on_projection(self):
+        # Every cell is skipped by the deadline, so no final score is set
+        # and the (all -inf) projections keep the submission order.
+        selector = TDaub(
+            pipelines=[DriftForecaster(horizon=2), ZeroModelForecaster(horizon=2)],
+            horizon=2,
+            min_allocation_size=100,
+            budget=0.0,
+        ).fit(np.arange(20.0))
+        assert selector.budget_exhausted_
+        assert [e.final_score for e in selector.evaluations_.values()] == [None, None]
+        assert selector.ranked_names_ == ["DriftForecaster", "ZeroModelForecaster"]
+
     def test_failing_pipeline_excluded_from_best(self, seasonal_series):
         class _Broken(ZeroModelForecaster):
             def fit(self, X, y=None):
@@ -146,26 +159,132 @@ class TestTDaub:
         assert selector.predict(6).shape == (6, 1)
 
 
-class TestDaubAblation:
-    def test_daub_uses_oldest_first_allocation(self):
-        assert Daub(pipelines=[ZeroModelForecaster()]).allocation_direction == "oldest_first"
+def _drive(schedule, evaluations, scores, decline=()):
+    """Run ``schedule`` with hand-set scores and no fitting.
 
+    ``scores[name]`` maps an allocation to that cell's score.  Batches whose
+    position is in ``decline`` are declined, as an expired budget does.
+    """
+    batches, ran = [], None
+    while True:
+        try:
+            batch = schedule.send(ran)
+        except StopIteration:
+            return batches
+        ran = len(batches) not in decline
+        batches.append(batch)
+        if ran:
+            for name, allocation in batch[2]:
+                evaluations[name].allocation_sizes.append(allocation)
+                evaluations[name].scores.append(scores[name](allocation))
+
+
+def _run_schedule(full_length, grid, run_to_completion=2, wave_width=1, decline=()):
+    evaluations = {name: PipelineEvaluation(name=name) for name in _SCORES}
+    schedule = allocation_schedule(
+        list(_SCORES), evaluations, full_length, grid, 2.0, run_to_completion, wave_width
+    )
+    return _drive(schedule, evaluations, _SCORES, decline)
+
+
+# A leads on small slices and collapses with more data, B and C are flat,
+# D never scores.  The grid gives fixed rounds at 20, 40 and 60 of L=200;
+# acceleration then steps 60 -> 120 -> 200.
+_SCORES = {
+    "A": lambda allocation: -1.0 if allocation <= 60 else -50.0,
+    "B": lambda allocation: -2.0,
+    "C": lambda allocation: -3.0,
+    "D": lambda allocation: -np.inf,
+}
+_GRID = (20, 20, 60)
+
+
+def _every(allocation):
+    return [(name, allocation) for name in _SCORES]
+
+
+_FIXED = [("fixed", allocation, _every(allocation)) for allocation in (20, 40, 60)]
+
+
+class TestAllocationSchedule:
+    @pytest.mark.parametrize("full_length", [40, 48])
+    def test_small_data_is_one_scoring_batch(self, full_length):
+        assert _run_schedule(full_length, (48, 48, 240)) == [
+            ("score", full_length, _every(full_length))
+        ]
+
+    def test_fixed_rounds_end_at_the_round_that_reaches_full_length(self):
+        assert _run_schedule(50, (20, 20, 100)) == [
+            ("fixed", 20, _every(20)),
+            ("fixed", 40, _every(40)),
+            ("fixed", 50, _every(50)),
+            ("score", 50, [("A", 50), ("B", 50)]),
+        ]
+
+    def test_waves_of_width_one(self):
+        assert _run_schedule(200, _GRID, wave_width=1) == _FIXED + [
+            ("accelerate", 120, [("A", 120)]),
+            ("accelerate", 120, [("B", 120)]),
+            ("accelerate", 200, [("B", 200)]),
+            ("accelerate", 120, [("C", 120)]),
+            ("accelerate", 200, [("C", 200)]),
+            ("score", 200, [("B", 200), ("C", 200)]),
+        ]
+
+    def test_waves_of_width_two(self):
+        assert _run_schedule(200, _GRID, wave_width=2) == _FIXED + [
+            ("accelerate", 120, [("A", 120), ("B", 120)]),
+            ("accelerate", 200, [("B", 200), ("C", 120)]),
+            ("accelerate", 200, [("C", 200), ("A", 200)]),
+            ("score", 200, [("B", 200), ("C", 200)]),
+        ]
+
+    @pytest.mark.parametrize(
+        "run_to_completion, waves, finalists",
+        [
+            (1, [("A", 120), ("B", 120), ("B", 200)], ["B"]),
+            (2, [("A", 120), ("B", 120), ("B", 200), ("C", 120), ("C", 200)], ["B", "C"]),
+            (
+                3,
+                [("A", 120), ("B", 120), ("B", 200), ("C", 120), ("C", 200), ("A", 200)],
+                ["B", "C", "A"],
+            ),
+        ],
+    )
+    def test_acceleration_stops_once_run_to_completion_reach_full_length(
+        self, run_to_completion, waves, finalists
+    ):
+        batches = _run_schedule(200, _GRID, run_to_completion=run_to_completion)
+        assert batches[: len(_FIXED)] == _FIXED
+        assert [cells for _, _, cells in batches[len(_FIXED) : -1]] == [[w] for w in waves]
+        assert batches[-1] == ("score", 200, [(name, 200) for name in finalists])
+
+    @pytest.mark.parametrize("declined", [0, 1, 3])
+    def test_a_declined_batch_jumps_to_scoring(self, declined):
+        # Declining a fixed round or a wave (the budget ran out) scores next,
+        # on the projections so far: A and B lead (by submission order when
+        # nothing was recorded).
+        batches = _run_schedule(200, _GRID, decline={declined})
+        assert batches == (_FIXED + [("accelerate", 120, [("A", 120)])])[: declined + 1] + [
+            ("score", 200, [("A", 200), ("B", 200)])
+        ]
+
+
+class TestDaubAblation:
     def test_daub_and_tdaub_can_disagree_on_shifted_data(self):
         # Regime change: old data favours ZeroModel (flat), recent data has a
         # strong trend favouring Drift.  T-Daub (recent first) should rank the
-        # trend model at least as well as Daub does.
+        # trend model at least as well as the original Daub (oldest first).
         flat = np.full(200, 50.0) + np.random.default_rng(1).normal(0, 0.5, 200)
         trend = 50.0 + 3.0 * np.arange(100.0)
         series = np.concatenate([flat, trend])
         pipelines = [ZeroModelForecaster(horizon=6), DriftForecaster(horizon=6)]
         tdaub_rank = TDaub(pipelines=[clone(p) for p in pipelines], horizon=6,
                            min_allocation_size=40).fit(series).ranked_names_
-        daub_rank = Daub(pipelines=[clone(p) for p in pipelines], horizon=6,
-                         min_allocation_size=40).fit(series).ranked_names_
+        daub_rank = TDaub(pipelines=[clone(p) for p in pipelines], horizon=6,
+                          min_allocation_size=40,
+                          allocation_direction="oldest_first").fit(series).ranked_names_
         assert tdaub_rank.index("DriftForecaster") <= daub_rank.index("DriftForecaster")
-
-    def test_daub_param_names_exclude_direction(self):
-        assert "allocation_direction" not in Daub._get_param_names()
 
 
 class _ExactThenInf(DriftForecaster):

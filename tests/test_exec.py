@@ -491,13 +491,6 @@ class TestParallelTDaub:
         assert selector.cache_stats_ is not None
         assert selector.cache_stats_.hits >= 1
 
-    def test_memoize_off_disables_cache(self):
-        series = _fixed_seed_series()
-        selector = TDaub(
-            pipelines=_candidate_pipelines()[:2], horizon=12, memoize=False
-        ).fit(series)
-        assert selector.cache_stats_ is None
-
     def test_permanently_failed_pipeline_not_reaccelerated(self):
         class _Broken(ZeroModelForecaster):
             def fit(self, X, y=None):

@@ -192,7 +192,7 @@ def first_difference(expected, actual, path: str = "$"):
 
 @pytest.fixture(scope="module")
 def golden(request) -> dict:
-    if request.config.getoption("--regen-golden"):
+    if request.config.getoption("--regen-golden", default=False):
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(compute_golden(), indent=1) + "\n")
     recorded = json.loads(GOLDEN_PATH.read_text())

@@ -67,6 +67,21 @@ def _request(url: str, method: str, path: str, body: dict | None = None, timeout
         conn.close()
 
 
+def _post_raw(url: str, body: bytes = b"", content_length: str | None = None):
+    """POST ``body`` to ``/predict/energy`` with a hand-set Content-Length."""
+    conn = http.client.HTTPConnection(url.removeprefix("http://"), timeout=10.0)
+    try:
+        conn.putrequest("POST", "/predict/energy")
+        conn.putheader(
+            "Content-Length", str(len(body)) if content_length is None else content_length
+        )
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read().decode())
+    finally:
+        conn.close()
+
+
 @pytest.fixture(scope="module")
 def serving(tmp_path_factory):
     server = StoreServer(tmp_path_factory.mktemp("serve-http") / "root")
@@ -167,6 +182,18 @@ class TestPredictEndpoint:
         assert _request(serving.url, "POST", "/predict/energy", {"horizon": 2})[0] == 200
         assert _request(serving.url, "GET", "/predict/energy")[0] == 405
         assert _request(serving.url, "GET", "/does-not-exist")[0] == 404
+
+    def test_deeply_nested_body_is_a_400(self, serving):
+        # Under the body limit, but json.loads runs out of recursion depth.
+        status, payload = _post_raw(serving.url, b"[" * 100_000)
+        assert status == 400
+        assert payload["error"].startswith("bad predict request"), payload
+        assert _request(serving.url, "POST", "/predict/energy", {"horizon": 2})[0] == 200
+
+    def test_negative_content_length_is_a_400(self, serving):
+        status, payload = _post_raw(serving.url, content_length="-5")
+        assert (status, payload) == (400, {"error": "bad Content-Length"})
+        assert _request(serving.url, "POST", "/predict/energy", {"horizon": 2})[0] == 200
 
 
 class TestOpsEndpoints:

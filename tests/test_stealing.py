@@ -526,7 +526,6 @@ class TestTDaubCostProjection:
             pipelines=self._pipelines(),
             horizon=4,
             progress_callback=events.append,
-            memoize=False,
         )
         selector.fit(self._series())
         assert events, "fit never reported progress"
@@ -550,7 +549,6 @@ class TestTDaubCostProjection:
             pipelines=self._pipelines(),
             horizon=4,
             progress_callback=explode,
-            memoize=False,
         )
         selector.fit(self._series())
         assert selector.best_pipeline_ is not None

@@ -483,16 +483,6 @@ class TestTDaubPersistentCache:
             record = json.loads(path.read_text(encoding="utf-8"))
             assert record["payload"]["error"] == ""
 
-    def test_memoize_off_ignores_cache_dir(self, tmp_path):
-        selector = TDaub(
-            pipelines=[ZeroModelForecaster(horizon=8)],
-            horizon=8,
-            memoize=False,
-            store=str(tmp_path),
-        ).fit(self._series())
-        assert selector.cache_stats_ is None
-        assert len(LocalFSBackend(tmp_path)) == 0
-
 
 class _CallableScorer:
     """Scorer exposing __call__ with the default (address-bearing) repr."""

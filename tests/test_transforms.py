@@ -1,5 +1,7 @@
 """Tests for stateless/stateful transforms, scalers, imputation, resampling, windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,14 @@ class TestStatelessRoundtrips:
         transform = LogTransform()
         restored = transform.inverse_transform(transform.fit_transform(data))
         assert np.allclose(restored, data, atol=1e-6)
+
+    def test_log_inverse_overflows_to_inf_without_warning(self):
+        transform = LogTransform().fit([[1.0], [2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restored = transform.inverse_transform([[800.0], [1.5]])
+        assert restored[0, 0] == np.inf
+        assert restored[1, 0] == np.exp(1.5)  # finite values keep their bits
 
     def test_fisher_roundtrip_within_range(self, seasonal_series):
         data = seasonal_series.reshape(-1, 1)
