@@ -229,7 +229,7 @@ class TDaub(BaseEstimator):
         Candidate pipelines (estimators implementing ``fit``/``predict``/``score``).
     min_allocation_size:
         Smallest data chunk given to pipelines.  ``None`` chooses
-        ``max(len(T1) // 10, 8 * horizon)`` at fit time.
+        ``max(len(T1) // 10, 4 * horizon, 8)`` at fit time.
     allocation_size:
         Increment added at each fixed-allocation step (defaults to
         ``min_allocation_size``).
