@@ -1,10 +1,10 @@
 """Perf benchmark: parallel T-Daub ranking vs the sequential baseline.
 
-T-Daub's fixed-allocation rounds and acceleration waves are batches of
+T-Daub's fixed-allocation rounds and scoring phase are batches of
 independent fit-and-score tasks, so the wall-clock of a ranking run should
 shrink roughly linearly with ``n_jobs`` — *provided the backend actually
 overlaps the work*.  This benchmark ranks an 8-pipeline candidate set twice
-with identical schedules (same ``n_jobs`` batch width) and compares:
+(the schedule depends on neither ``n_jobs`` nor the backend) and compares:
 
 - ``SerialExecutor``  — the reference sequential engine, and
 - ``ProcessExecutor`` — the parallel engine with real worker processes,

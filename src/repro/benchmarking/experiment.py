@@ -143,34 +143,19 @@ def sota_toolkit_factories() -> Dict[str, ToolkitFactory]:
     }
 
 
-def autoai_toolkit_factories(
-    run_to_completion: int = 1,
-    n_jobs: int | None = None,
-    executor=None,
-    store=None,
-    budget: float | None = None,
-) -> Dict[str, ToolkitFactory]:
+def autoai_toolkit_factories(store=None, budget: float | None = None) -> Dict[str, ToolkitFactory]:
     """Factory for AutoAI-TS itself (10 internal pipelines, zero-conf).
 
-    ``n_jobs``/``executor`` are forwarded to T-Daub so the inner pipeline
-    ranking can itself run parallel inside one benchmark cell; ``store``
-    (a shared directory, a store URL — e.g. an object store no two cells
-    need a common mount for — or any :class:`~repro.store.StoreBackend`)
-    points that ranking at a persistent evaluation store shared across
-    cells and runs, and ``budget`` bounds each cell's ranking phase in
-    wall-clock seconds on every backend.
+    ``store`` (a shared directory, a store URL — e.g. an object store no
+    two cells need a common mount for — or any
+    :class:`~repro.store.StoreBackend`) points the inner pipeline ranking
+    at a persistent evaluation store shared across cells and runs, and
+    ``budget`` bounds each cell's ranking phase in wall-clock seconds on
+    every backend.
     """
 
     def make(horizon: int) -> AutoAITS:
-        return AutoAITS(
-            prediction_horizon=horizon,
-            run_to_completion=run_to_completion,
-            holdout_fraction=0.2,
-            n_jobs=n_jobs,
-            executor=executor,
-            store=store,
-            budget=budget,
-        )
+        return AutoAITS(prediction_horizon=horizon, store=store, budget=budget)
 
     return {"AutoAI-TS": make}
 

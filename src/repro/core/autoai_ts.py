@@ -78,11 +78,10 @@ class AutoAITS(BaseForecaster):
     verbose:
         Print progress messages (quality check, look-back, T-Daub, holdout).
     n_jobs:
-        Number of pipeline evaluations T-Daub schedules concurrently (1 =
-        the paper's sequential algorithm).  ``n_jobs`` also sets the width
-        of T-Daub's acceleration waves, so two runs with the *same*
-        ``n_jobs`` rank identically on any backend; different ``n_jobs``
-        values explore slightly different allocation schedules.
+        Number of pipeline evaluations T-Daub runs concurrently in its
+        fixed-allocation rounds and scoring phase.  It changes only the
+        wall clock: every ``n_jobs`` and backend ranks as the paper's
+        sequential algorithm does (``n_jobs=1``, the default).
     executor:
         Execution backend handed to T-Daub: ``None`` (auto), ``"serial"``,
         ``"threads"``, ``"processes"`` or a ``repro.exec.BaseExecutor``.

@@ -11,15 +11,15 @@ re-scored to produce the final ranking.
 
 Every fit-and-score evaluation is an independent unit of work, so the
 algorithm is phrased as *batches* submitted to a pluggable execution engine
-(:mod:`repro.exec`): each fixed-allocation round, each acceleration wave and
-the final scoring phase fan out as :class:`~repro.exec.FitScoreTask` lists.
-With the default ``n_jobs=1`` the schedule is identical to the sequential
-paper algorithm; with ``n_jobs > 1`` up to ``n_jobs`` evaluations run
-concurrently while task indices keep heap ordering — and therefore the final
-ranking — deterministic regardless of worker completion order.  An
-:class:`~repro.exec.EvaluationCache` memoizes ``(pipeline parameters, data
-slice, horizon)`` so identical refits (e.g. the scoring-phase retrain of a
-pipeline that already reached the full allocation) are never recomputed.
+(:mod:`repro.exec`): each fixed-allocation round and the scoring phase fan
+out as :class:`~repro.exec.FitScoreTask` lists over ``n_jobs`` workers, and
+each acceleration step grows the one pipeline with the best projection, as
+in the paper.  The schedule reads neither ``n_jobs`` nor the order in which
+workers finish, so every backend and worker count ranks as the sequential
+run does.  An :class:`~repro.exec.EvaluationCache` memoizes ``(pipeline
+parameters, data slice, horizon)`` so identical refits (e.g. the
+scoring-phase retrain of a pipeline that already reached the full
+allocation) are never recomputed.
 
 The allocation policy itself is :func:`allocation_schedule`, a generator of
 batches that reads recorded scores but never fits, caches, reads the clock
@@ -39,7 +39,7 @@ import numpy as np
 from .._validation import as_2d_array, check_positive_int
 from ..exceptions import InvalidParameterError
 from ..exec.cache import EvaluationCache
-from ..exec.executor import BaseExecutor, Deadline, get_executor, resolve_n_jobs
+from ..exec.executor import BaseExecutor, Deadline, get_executor
 from ..exec.tasks import FitScoreResult, FitScoreTask, run_fit_score_task
 from ..stats.linear_model import ols_fit
 from .base import BaseEstimator, BaseForecaster, clone
@@ -147,19 +147,19 @@ def allocation_schedule(
     grid: tuple[int, int, int],
     geo_increment_size: float,
     run_to_completion: int,
-    wave_width: int,
 ) -> Generator[tuple[str, int, list[tuple[str, int]]], bool, None]:
     """T-Daub's allocation policy as a sequence of evaluation batches.
 
     Yields ``(phase, allocation, cells)``: ``phase`` is ``"fixed"``,
     ``"accelerate"`` or ``"score"``, ``cells`` the ``(name, allocation)``
     pairs to evaluate as one batch and ``allocation`` the largest of them.
-    Before resuming, the caller records every cell's score in
-    ``evaluations[name]`` and sends ``True``; sending ``False`` declines a
-    batch (the budget ran out), after which the next batch is the scoring
-    one.  The last batch always scores the top ``run_to_completion``
-    pipelines by projection at ``full_length``.  ``grid`` is
-    ``(min_allocation, allocation_size, cutoff)``.
+    A fixed round holds every pipeline, an acceleration step one, and the
+    last batch scores the top ``run_to_completion`` pipelines by
+    projection at ``full_length``.  Before resuming, the caller records
+    every cell's score in ``evaluations[name]`` and sends ``True``;
+    sending ``False`` declines a batch (the budget ran out), after which
+    the next batch is the scoring one.  ``grid`` is ``(min_allocation,
+    allocation_size, cutoff)``.
 
     The schedule never fits, caches, reads the clock or touches an
     executor: it reads the recorded scores and updates the projections.
@@ -181,38 +181,30 @@ def allocation_schedule(
     for name in names:
         evaluations[name].project(L)
 
-    # Acceleration: waves of up to ``wave_width`` pipelines, popped by
-    # projection, grow geometrically.  Submission order breaks ties, so the
-    # schedule is deterministic; a -inf projection (no finite score at any
-    # allocation) never re-enters the heap.
+    # Acceleration: the pipeline with the best projection grows
+    # geometrically, one step at a time.  Submission order breaks ties, so
+    # the schedule is deterministic; a -inf projection (no finite score at
+    # any allocation) never re-enters the heap.
     heap = [
-        (-evaluations[name].projected_score, order, name)
+        (-evaluations[name].projected_score, order, name, allocation)
         for order, name in enumerate(names)
-        if np.isfinite(evaluations[name].projected_score)
+        if allocation < L and np.isfinite(evaluations[name].projected_score)
     ]
     heapq.heapify(heap)
-    reached = dict.fromkeys(names, allocation)
+    completed = 0
     while running and heap:
-        wave: list[tuple[int, str, int]] = []
-        while heap and len(wave) < wave_width:
-            _, order, name = heapq.heappop(heap)
-            current = reached[name]
-            if current >= L:
-                continue
-            step = max(current + allocation_size, int(current * float(geo_increment_size)))
-            step = int(np.ceil(step / allocation_size) * allocation_size)
-            wave.append((order, name, min(step, L)))
-        if not wave:
+        _, order, name, current = heapq.heappop(heap)
+        step = max(current + allocation_size, int(current * float(geo_increment_size)))
+        size = min(int(np.ceil(step / allocation_size) * allocation_size), L)
+        if not (yield "accelerate", size, [(name, size)]):
             break
-        cells = [(name, size) for _, name, size in wave]
-        if not (yield "accelerate", max(size for _, size in cells), cells):
-            break
-        for order, name, size in wave:
-            reached[name] = size
-            projection = evaluations[name].project(L)
-            if size < L and np.isfinite(projection):
-                heapq.heappush(heap, (-projection, order, name))
-        if sum(1 for size in reached.values() if size >= L) >= run_to_completion:
+        projection = evaluations[name].project(L)
+        if size < L:
+            if np.isfinite(projection):
+                heapq.heappush(heap, (-projection, order, name, size))
+            continue
+        completed += 1
+        if completed >= run_to_completion:
             break
 
     # Scoring: retrain the top pipelines on the full split (stable order).
@@ -249,11 +241,11 @@ class TDaub(BaseEstimator):
         (the original Daub of Sabharwal, Samulowitz & Tesauro, AAAI 2015,
         which the ablation benchmark compares against).
     n_jobs:
-        Width of each evaluation batch *and* worker count of auto-created
-        executors.  The acceleration phase pops up to ``n_jobs`` pipelines
-        per wave, so two runs with equal ``n_jobs`` produce identical
-        allocation schedules (and rankings) on any backend.  Default 1:
-        the exact sequential schedule of the paper.
+        Worker count of auto-created executors: the fixed-allocation
+        rounds and the scoring phase run up to ``n_jobs`` evaluations at
+        once.  It changes only the wall clock, never the schedule: every
+        ``n_jobs`` and backend evaluates the cells of the paper's
+        sequential algorithm and gives its ranking.  Default 1.
     executor:
         Execution backend: ``None`` (serial for ``n_jobs<=1``, processes
         otherwise), an alias (``"serial"``, ``"threads"``, ``"processes"``)
@@ -279,12 +271,12 @@ class TDaub(BaseEstimator):
         Wall-clock budget in seconds for the whole ranking run.  Enforced
         cooperatively on every backend: once exhausted, remaining
         evaluations in the current batch are skipped (the process backend
-        also terminates in-flight fits), no further rounds or waves start,
+        also terminates in-flight fits), no further rounds or steps start,
         and the ranking falls back to the projections gathered so far.
         ``budget_exhausted_`` reports whether the deadline fired.
         ``None`` (default) means unlimited.
     progress_callback:
-        Called after every fixed-allocation round, acceleration wave and
+        Called after every fixed-allocation round, acceleration step and
         the scoring phase with one dict: ``{"phase": "fixed" | "accelerate"
         | "score", "allocation": <samples>, "seconds_spent": <wall so
         far>, "projected_total_seconds": <learning-curve cost projection
@@ -476,15 +468,7 @@ class TDaub(BaseEstimator):
         deadline_skips: set[int] = set()
         if pending:
             tasks = [task for _, _, task in pending]
-            if self._deadline is not None:
-                outcomes = self._engine.map_tasks(
-                    run_fit_score_task, tasks, deadline=self._deadline
-                )
-            else:
-                # No budget: keep the pre-deadline call shape so custom
-                # BaseExecutor implementations without the ``deadline``
-                # parameter keep working.
-                outcomes = self._engine.map_tasks(run_fit_score_task, tasks)
+            outcomes = self._engine.map_tasks(run_fit_score_task, tasks, deadline=self._deadline)
             for (index, key, task), outcome in zip(pending, outcomes):
                 result = outcome.value
                 if result is None:
@@ -587,7 +571,7 @@ class TDaub(BaseEstimator):
             self._cache.reset_stats()
         else:
             self._cache = EvaluationCache(store=self.store)
-        self._deadline = Deadline(self.budget) if self.budget is not None else None
+        self._deadline = Deadline(self.budget)
         T = as_2d_array(T)
         horizon = int(self.horizon)
         rolling = self.eval_protocol == "rolling_origin"
@@ -681,13 +665,7 @@ class TDaub(BaseEstimator):
         evaluations = {name: PipelineEvaluation(name=name) for name in names}
 
         schedule = allocation_schedule(
-            names,
-            evaluations,
-            L,
-            self._grid,
-            self.geo_increment_size,
-            int(self.run_to_completion),
-            max(1, resolve_n_jobs(self.n_jobs)),
+            names, evaluations, L, self._grid, self.geo_increment_size, int(self.run_to_completion)
         )
         ran = None
         while True:
@@ -697,7 +675,7 @@ class TDaub(BaseEstimator):
                 break
             # The scoring batch is always submitted: cache hits are free and
             # the executor skips the rest under an expired deadline.
-            ran = phase == "score" or self._deadline is None or not self._deadline.expired
+            ran = phase == "score" or not self._deadline.expired
             if not ran:
                 self._log(f"Budget exhausted before a {phase} batch; scoring now.")
                 continue
@@ -712,7 +690,7 @@ class TDaub(BaseEstimator):
             )
             self._notify_progress(phase, allocation)
             if phase == "score":
-                expired = self._deadline is not None and self._deadline.expired
+                expired = self._deadline.expired
                 for (name, _), score in zip(cells, scores):
                     # A retrain the deadline skipped was never evaluated: the
                     # projection ranks it, not a phantom -inf score.
@@ -760,7 +738,7 @@ class TDaub(BaseEstimator):
         self.evaluations_ = evaluations
         self.best_pipeline_ = best_pipeline
         self.cache_stats_ = self._cache.stats
-        self.budget_exhausted_ = bool(self._deadline is not None and self._deadline.expired)
+        self.budget_exhausted_ = self._deadline.expired
         points: dict = {}
         for name, evaluation in evaluations.items():
             for size, score in zip(evaluation.allocation_sizes, evaluation.scores):

@@ -1,7 +1,7 @@
 """Execution engine: pluggable parallel backends plus evaluation memoization.
 
 Everything in the reproduction that evaluates many independent units of work
-— T-Daub's allocation rounds, the acceleration waves, the run-to-completion
+— T-Daub's allocation rounds, the acceleration steps, the run-to-completion
 scoring phase and the full benchmark matrix — funnels through this package:
 
 - :mod:`repro.exec.executor` — ``SerialExecutor`` / ``ThreadExecutor`` /

@@ -3,7 +3,7 @@
 Every execution backend used to move task data *by value*: a T-Daub round
 with N pipelines pickled the same training slice N times into the process
 pool, and the remote backend re-sent identical bytes over the socket for
-every task of every wave.  On long series the per-task payload dominates
+every task of every batch.  On long series the per-task payload dominates
 the actual fit time.  This module separates **data distribution** from
 **task dispatch**:
 

@@ -1,7 +1,7 @@
 """Pluggable execution backends for independent evaluation tasks.
 
-T-Daub's fixed-allocation rounds, its acceleration waves, and the benchmark
-matrix are all embarrassingly parallel: every ``(pipeline, allocation)`` or
+T-Daub's fixed-allocation rounds and scoring phase, and the benchmark
+matrix, are embarrassingly parallel: every ``(pipeline, allocation)`` or
 ``(dataset, toolkit)`` cell is an independent fit-and-score unit of work.
 This module provides one interface — ``map_tasks(fn, tasks) -> outcomes`` —
 with three interchangeable backends:
@@ -31,8 +31,8 @@ lets ``max_train_seconds`` bound a whole T-Daub ranking round on *all*
 backends, not only on the one that can kill workers.
 
 All backends preserve submission order in the returned outcome list, which
-is what lets T-Daub keep its deterministic heap ordering regardless of the
-order in which workers actually finish.
+is what keeps T-Daub's schedule and ranking independent of the order in
+which workers actually finish.
 """
 
 from __future__ import annotations

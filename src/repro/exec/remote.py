@@ -2,8 +2,8 @@
 
 The serial/thread/process backends scale to one host.  This module extends
 the same order-preserving ``map_tasks(fn, tasks)`` contract across machines
-so T-Daub waves and benchmark-matrix shards can fan out over a small fleet
-without any caller changes:
+so T-Daub's fixed-allocation rounds and benchmark-matrix shards can fan out
+over a small fleet without any caller changes:
 
 ``WorkerServer`` (``python -m repro.exec.remote --port 7071``)
     Runs on each worker host.  Accepts connections, receives task frames
@@ -561,7 +561,7 @@ class _WorkerLane:
         deadline: Deadline | None,
     ) -> TaskOutcome:
         """Ship one task and wait for its outcome (or the lane's death)."""
-        remaining = None if deadline is None else max(deadline.remaining(), 0.0)
+        remaining = None if deadline is None else deadline.clamp(None)
         try:
             frame = pickle.dumps(
                 ("task", index, fn, task, timeout, remaining),

@@ -147,7 +147,8 @@ class DriftForecaster(BaseForecaster):
         check_is_fitted(self, ("last_values_",))
         horizon = check_horizon(horizon if horizon is not None else self.horizon)
         steps = np.arange(1, horizon + 1).reshape(-1, 1)
-        return self.last_values_ + steps * self.drift_
+        with np.errstate(over="ignore"):  # inf is reported by the finite checks downstream
+            return self.last_values_ + steps * self.drift_
 
 
 class MeanForecaster(BaseForecaster):

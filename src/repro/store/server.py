@@ -40,9 +40,11 @@ or a private interface, exactly like ``python -m repro.exec.remote``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -310,6 +312,39 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(204)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """Threaded server whose ``server_close`` also severs open connections:
+    ``shutdown()`` stops only the accept loop, and a handler thread blocked
+    on a keep-alive connection would go on answering it."""
+
+    daemon_threads = True
+    _closing = False
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._connections: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        self._closing = True
+        for connection in list(self._connections):
+            with contextlib.suppress(OSError):  # already closed by its handler
+                connection.shutdown(socket.SHUT_RDWR)
+
+    def handle_error(self, request, client_address):
+        # A handler whose connection close() severed mid-reply is no fault.
+        if not self._closing:
+            super().handle_error(request, client_address)
+
+
 class StoreServer:
     """Embeddable object-store server (the CLI wraps this too).
 
@@ -325,8 +360,7 @@ class StoreServer:
     def __init__(self, root: str | os.PathLike, host: str = "127.0.0.1", port: int = 0):
         self.state = _StoreState(root)
         handler = type("BoundHandler", (_Handler,), {"state": self.state})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), handler)
         self.address: tuple[str, int] = self._httpd.server_address[:2]
 
     @property

@@ -1,9 +1,22 @@
-"""Shared fixtures: deterministic series of the shapes the paper works with."""
+"""Shared fixtures: deterministic series of the shapes the paper works with.
+
+Also a session gate: a ``RuntimeWarning`` issued from ``src/repro`` that
+reaches pytest (one no ``filterwarnings`` mark ignores) makes the session
+exit non-zero and is named in the summary.  Library code must not warn
+and go on; it returns a checked result or raises a typed error.  The
+gate does not use ``-W error``, which would turn such a warning inside a
+T-Daub cell into a failed cell instead of reporting it.
+"""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+_LIBRARY = Path(__file__).resolve().parent.parent / "src" / "repro"
+_runtime_warnings: list[str] = []
 
 
 def pytest_addoption(parser):
@@ -13,6 +26,27 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite tests/golden/rankings.json from this checkout before comparing",
     )
+
+
+def pytest_warning_recorded(warning_message, when, nodeid, location):
+    path = Path(warning_message.filename).resolve()
+    if issubclass(warning_message.category, RuntimeWarning) and path.is_relative_to(_LIBRARY):
+        _runtime_warnings.append(
+            f"{nodeid or when}: {warning_message.filename}:{warning_message.lineno}: "
+            f"{warning_message.category.__name__}: {warning_message.message}"
+        )
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _runtime_warnings and exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _runtime_warnings:
+        terminalreporter.section("RuntimeWarnings from src/repro", red=True)
+        for line in _runtime_warnings:
+            terminalreporter.line(line)
 
 
 @pytest.fixture(scope="session")

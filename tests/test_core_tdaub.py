@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TDaub, clone
 from repro.core.registry import PipelineRegistry
@@ -179,10 +181,10 @@ def _drive(schedule, evaluations, scores, decline=()):
                 evaluations[name].scores.append(scores[name](allocation))
 
 
-def _run_schedule(full_length, grid, run_to_completion=2, wave_width=1, decline=()):
+def _run_schedule(full_length, grid, run_to_completion=2, decline=()):
     evaluations = {name: PipelineEvaluation(name=name) for name in _SCORES}
     schedule = allocation_schedule(
-        list(_SCORES), evaluations, full_length, grid, 2.0, run_to_completion, wave_width
+        list(_SCORES), evaluations, full_length, grid, 2.0, run_to_completion
     )
     return _drive(schedule, evaluations, _SCORES, decline)
 
@@ -221,21 +223,13 @@ class TestAllocationSchedule:
             ("score", 50, [("A", 50), ("B", 50)]),
         ]
 
-    def test_waves_of_width_one(self):
-        assert _run_schedule(200, _GRID, wave_width=1) == _FIXED + [
+    def test_acceleration_grows_one_pipeline_per_step(self):
+        assert _run_schedule(200, _GRID) == _FIXED + [
             ("accelerate", 120, [("A", 120)]),
             ("accelerate", 120, [("B", 120)]),
             ("accelerate", 200, [("B", 200)]),
             ("accelerate", 120, [("C", 120)]),
             ("accelerate", 200, [("C", 200)]),
-            ("score", 200, [("B", 200), ("C", 200)]),
-        ]
-
-    def test_waves_of_width_two(self):
-        assert _run_schedule(200, _GRID, wave_width=2) == _FIXED + [
-            ("accelerate", 120, [("A", 120), ("B", 120)]),
-            ("accelerate", 200, [("B", 200), ("C", 120)]),
-            ("accelerate", 200, [("C", 200), ("A", 200)]),
             ("score", 200, [("B", 200), ("C", 200)]),
         ]
 
@@ -268,6 +262,99 @@ class TestAllocationSchedule:
         assert batches == (_FIXED + [("accelerate", 120, [("A", 120)])])[: declined + 1] + [
             ("score", 200, [("A", 200), ("B", 200)])
         ]
+
+
+# A few shared values make ties; -inf is a failed cell.
+_CELL_SCORES = st.sampled_from([-1.0, -2.0, -2.0, -np.inf]) | st.floats(-100.0, 0.0)
+
+
+@st.composite
+def _schedule_case(draw):
+    n = draw(st.integers(1, 6))
+    names = [f"p{index}" for index in range(n)]
+    grid = (draw(st.integers(1, 30)), draw(st.integers(1, 30)), draw(st.integers(1, 120)))
+    return {
+        "names": names,
+        # Mostly longer than the minimum allocation, sometimes not.
+        "full_length": max(grid[0] + draw(st.integers(-4, 480)), 1),
+        "grid": grid,
+        "geo": draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        "run_to_completion": draw(st.integers(1, n + 1)),
+        # Pipelines that fail every cell, so they never score finitely.
+        "dead": draw(st.sets(st.sampled_from(names), max_size=n - 1)),
+    }
+
+
+class TestAllocationScheduleProperties:
+    @given(case=_schedule_case(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_invariants(self, case, data):
+        names, L, rtc = case["names"], case["full_length"], case["run_to_completion"]
+        evaluations = {name: PipelineEvaluation(name=name) for name in names}
+        schedule = allocation_schedule(names, evaluations, L, case["grid"], case["geo"], rtc)
+        table: dict = {}
+
+        def score(name, allocation):
+            if name in case["dead"]:
+                return -np.inf
+            if (name, allocation) not in table:
+                table[name, allocation] = data.draw(_CELL_SCORES)
+            return table[name, allocation]
+
+        decline_at = data.draw(st.none() | st.integers(0, 40))
+        batches, ran, reached = [], None, {}
+        while True:
+            try:
+                phase, allocation, cells = schedule.send(ran)
+            except StopIteration:
+                break
+            if phase == "accelerate":
+                assert len(cells) == 1
+                [(name, size)] = cells
+                assert any(np.isfinite(evaluations[name].scores))
+                assert sum(1 for grown in reached.values() if grown >= L) < rtc
+            if phase == "score":
+                if L > case["grid"][0]:
+                    # Stable sort: ties keep submission order.
+                    top = sorted(
+                        names, key=lambda n: evaluations[n].projected_score, reverse=True
+                    )[: min(rtc, len(names))]
+                else:
+                    top = names  # smaller than the minimum allocation
+                assert cells == [(name, L) for name in top]
+            else:
+                assert allocation == max(size for _, size in cells)
+            ran = len(batches) != decline_at
+            batches.append((phase, allocation, cells, ran))
+            if ran:
+                for name, size in cells:
+                    evaluations[name].allocation_sizes.append(size)
+                    evaluations[name].scores.append(score(name, size))
+                    if phase != "score":
+                        reached[name] = size
+
+        assert batches[-1][0] == "score"
+        assert [phase for phase, *_ in batches].count("score") == 1
+        # Declining any batch jumps to scoring.
+        declined = [index for index, (*_, ran) in enumerate(batches) if not ran]
+        for index in declined:
+            if batches[index][0] != "score":
+                assert index + 2 == len(batches)
+        # Each pipeline's allocations strictly increase and stop at L.
+        for name in names:
+            sizes = [size for phase, _, cells, _ in batches if phase != "score"
+                     for cell, size in cells if cell == name]
+            assert sizes == sorted(set(sizes))
+            assert all(0 < size <= L for size in sizes)
+        # Acceleration stopped at run_to_completion pipelines at L or an
+        # empty heap: every pipeline still short of L has no finite score.
+        if not declined and L > case["grid"][0]:
+            at_full = [name for name in names if reached.get(name, 0) >= L]
+            if len(at_full) < rtc:
+                for name in names:
+                    assert name in at_full or not np.isfinite(
+                        evaluations[name].projected_score
+                    )
 
 
 class TestDaubAblation:

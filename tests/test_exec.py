@@ -254,6 +254,10 @@ class TestRemoteExecutor:
         assert outcomes[0].timed_out and outcomes[0].value is None
         assert "deadline" in outcomes[0].error
 
+    def test_unlimited_deadline_runs_every_task(self):
+        outcomes = _remote_executor(n_lanes=1).map_tasks(abs, [-1, -2], deadline=Deadline(None))
+        assert [o.value for o in outcomes] == [1, 2]
+
     def test_matches_serial_outcomes_and_order(self):
         """Cross-backend determinism incl. error outcomes, at the seam level."""
         tasks = [1, 2, 3, 4, 5, 2]
@@ -451,34 +455,51 @@ def _fixed_seed_series():
     return 50.0 + 0.3 * t + 10.0 * np.sin(2 * np.pi * t / 12.0) + noise
 
 
+def _tdaub_trace(series, executor, n_jobs, dataplane, **params):
+    """Ranking, every cell, final scores and the progress sequence of one fit."""
+    progress = []
+    selector = TDaub(
+        pipelines=_candidate_pipelines(),
+        horizon=12,
+        run_to_completion=2,
+        n_jobs=n_jobs,
+        executor=executor,
+        dataplane=dataplane,
+        progress_callback=lambda event: progress.append((event["phase"], event["allocation"])),
+        **params,
+    ).fit(series)
+    return (
+        selector.ranked_names_,
+        {n: list(zip(e.allocation_sizes, e.scores)) for n, e in selector.evaluations_.items()},
+        {n: e.final_score for n, e in selector.evaluations_.items()},
+        progress,
+    )
+
+
 class TestParallelTDaub:
     @pytest.mark.parametrize("dataplane", [True, False], ids=["by-ref", "by-value"])
     def test_parallel_matches_serial_exactly(self, dataplane):
-        """Same ranking AND same per-pipeline score histories on every backend.
+        """Every backend and worker count runs the serial ``n_jobs=1`` schedule.
 
-        Runs with the zero-copy data plane on and off: shipping slices by
-        reference must be invisible in every result.
+        Ranking, every ``(allocation, score)`` cell, final scores and the
+        ``(phase, allocation)`` progress sequence must all match, with the
+        zero-copy data plane on and off: neither shipping slices by
+        reference nor ``n_jobs`` may show in any result.  The default grid
+        reaches the full length in its fixed rounds; the finer one leaves
+        several acceleration steps to run.
         """
         series = _fixed_seed_series()
-        reference = None
-        for executor in ("serial", "threads", "processes"):
-            selector = TDaub(
-                pipelines=_candidate_pipelines(),
-                horizon=12,
-                run_to_completion=2,
-                n_jobs=2,
-                executor=executor,
-                dataplane=dataplane,
-            ).fit(series)
-            current = (
-                selector.ranked_names_,
-                {name: e.scores for name, e in selector.evaluations_.items()},
-                {name: e.final_score for name, e in selector.evaluations_.items()},
-            )
-            if reference is None:
-                reference = current
-            else:
-                assert current == reference, f"{executor} diverged from serial"
+        for params in ({}, {"min_allocation_size": 20}):
+            reference = _tdaub_trace(series, "serial", 1, dataplane, **params)
+            if params:
+                steps = [phase for phase, _ in reference[3] if phase == "accelerate"]
+                assert len(steps) >= 2
+            for executor in ("serial", "threads", "processes"):
+                for n_jobs in (1, 2, 4):
+                    current = _tdaub_trace(series, executor, n_jobs, dataplane, **params)
+                    assert current == reference, (
+                        f"{executor} at n_jobs={n_jobs} with {params} diverged from serial"
+                    )
 
     def test_scoring_phase_reuses_cached_full_fit(self):
         # Fixed allocation reaches the full training split (L=240 after the

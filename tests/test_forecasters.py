@@ -1,6 +1,7 @@
 """Tests for the statistical forecasters."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestDrift:
     def test_single_point_has_zero_drift(self):
         model = DriftForecaster().fit(np.array([7.0]))
         assert np.allclose(model.predict(2).ravel(), 7.0)
+
+    def test_overflowing_forecast_is_non_finite_without_a_warning(self):
+        model = DriftForecaster().fit(np.array([0.0, 8e307, 1.6e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forecast = model.predict(4)
+        assert not np.isfinite(forecast).all()
 
 
 class TestExponentialSmoothing:

@@ -7,9 +7,12 @@ manifest byte-identity for work-stealing runs, evaluation-cache reuse
 through a store URL, and blob spill shared between worker hosts.
 """
 
+import http.client
 import json
 import pickle
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +235,51 @@ class TestObjectStoreBackend:
         assert not dead.healthy()
         with pytest.raises(StoreError):
             dead.write_doc("doc", "text")
+
+    def test_closed_server_answers_no_open_connection(self, store_server):
+        """close() severs the keep-alive connections its handler threads serve.
+
+        Four clients, each on its own open connection, keep requesting while
+        the server closes: a request sent after close() returned gets no
+        response on any of them.
+        """
+        connections = [
+            http.client.HTTPConnection(*store_server.address, timeout=5) for _ in range(4)
+        ]
+        for connection in connections:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+        closed, answered_after_close = threading.Event(), []
+
+        def keep_requesting(connection):
+            try:
+                while True:
+                    sent_after_close = closed.is_set()
+                    connection.request("GET", "/healthz")
+                    connection.getresponse().read()
+                    if sent_after_close:
+                        answered_after_close.append(connection)
+                        return
+            except (OSError, http.client.HTTPException):  # severed mid-exchange
+                return
+
+        threads = [threading.Thread(target=keep_requesting, args=(c,)) for c in connections]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.1)
+            store_server.close()
+            closed.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+            for connection in connections:
+                connection.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert answered_after_close == []
 
     def test_invalid_url_rejected(self):
         with pytest.raises(ValueError):

@@ -316,9 +316,9 @@ class TestStoreOutage:
         with replica.start_in_background() as handle:
             status, _ = _request(handle.url, "POST", "/predict/durable", {"horizon": 4})
             assert status == 200  # hydrated and cached
-            # Simulate the store process dying: stop the listener and sever
-            # the replica's pooled keep-alive connections (a crashed server
-            # would close them; StoreServer's handler threads outlive close).
+            # Simulate the store process dying: close() stops the listener
+            # and severs open keep-alive connections, as a crashed server
+            # would; the replica's own connection pool is dropped too.
             server.close()
             replica.backend.close()
             deadline = time.monotonic() + 5.0
