@@ -1,8 +1,9 @@
 """Perf benchmark: the zero-copy data plane vs by-value task payloads.
 
 T-Daub's rounds repeatedly evaluate N pipelines on nested slices of one
-training array.  Shipping those slices *by value* makes the engine pay per
-task for what the data plane pays once per run:
+training array.  Shipping those slices *by value* to workers that do not
+share the caller's memory makes the engine pay per task for what the
+data plane pays once per run:
 
 - **process backend** (``spawn`` — the serialization-bound configuration,
   and the only start method on Windows/macOS): every task pickles its full
@@ -14,14 +15,20 @@ task for what the data plane pays once per run:
   socket.  With the plane, the base crosses the wire once as a
   content-addressed blob and task frames collapse to refs.
 
-The benchmark runs an identical long-series, many-pipeline T-Daub matrix
-with the plane on and off, asserts byte-identical rankings and score
-histories, and writes ``BENCH_dataplane.json`` at the repository root:
->= 1.5x wall-clock on the process matrix and the measured bytes-on-wire
-reduction on the remote matrix.
+The by-value side of each matrix is the same executor with
+``create_dataplane()`` returning ``None``.  The benchmark runs an
+identical long-series, many-pipeline T-Daub matrix both ways, asserts
+byte-identical rankings and score histories, and writes
+``BENCH_dataplane.json`` at the repository root: >= 1.5x wall-clock on
+the spawn matrix and the measured bytes-on-wire reduction on the remote
+matrix.  Full mode adds a **fork** leg on the spawn leg's matrix: ``fork``
+children inherit the caller's pages, so ``ProcessExecutor`` ships by
+value there, and the leg times that default against the same executor
+forced onto :class:`~repro.exec.SharedMemoryPlane` in alternating pairs.
+It records both times and gates nothing.
 
-``--tiny`` runs a seconds-scale version (short series, fork backend) that
-asserts only the by-ref == by-value equivalence — the CI smoke mode.
+``--tiny`` runs a seconds-scale version (short series, spawn workers)
+that asserts only the by-ref == by-value equivalence — the CI smoke mode.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import TDaub
-from repro.exec import ProcessExecutor, RemoteExecutor
+from repro.exec import ProcessExecutor, RemoteExecutor, SharedMemoryPlane
 from repro.forecasters.naive import (
     DriftForecaster,
     SeasonalNaiveForecaster,
@@ -65,7 +72,31 @@ def _pipelines(n_pipelines: int) -> list:
     return candidates[:n_pipelines]
 
 
-def _rank(series, n_pipelines, executor, dataplane, n_jobs):
+class ByValueProcessExecutor(ProcessExecutor):
+    """Process workers sent every task slice by value."""
+
+    def create_dataplane(self):
+        return None
+
+
+class ByValueRemoteExecutor(RemoteExecutor):
+    """Remote lanes sent every task slice by value."""
+
+    def create_dataplane(self):
+        return None
+
+
+class SharedMemoryForkExecutor(ProcessExecutor):
+    """Fork workers forced onto the shared-memory plane."""
+
+    def __init__(self, n_jobs: int):
+        super().__init__(n_jobs, start_method="fork")
+
+    def create_dataplane(self):
+        return SharedMemoryPlane()
+
+
+def _rank(series, n_pipelines, executor, n_jobs):
     selector = TDaub(
         pipelines=_pipelines(n_pipelines),
         horizon=_HORIZON,
@@ -74,7 +105,6 @@ def _rank(series, n_pipelines, executor, dataplane, n_jobs):
         run_to_completion=1,
         n_jobs=n_jobs,
         executor=executor,
-        dataplane=dataplane,
     )
     start = time.perf_counter()
     selector.fit(series)
@@ -117,11 +147,11 @@ def _process_matrix(n_rows: int, n_pipelines: int, start_method: str, n_jobs: in
     results = {}
     timings = {}
     _warm_workers(start_method, n_jobs)
-    for dataplane in (False, True):
-        executor = ProcessExecutor(n_jobs=n_jobs, start_method=start_method)
-        selector, seconds = _rank(series, n_pipelines, executor, dataplane, n_jobs)
-        results[dataplane] = _result_signature(selector)
-        timings[dataplane] = seconds
+    for by_ref, backend in ((False, ByValueProcessExecutor), (True, ProcessExecutor)):
+        executor = backend(n_jobs=n_jobs, start_method=start_method)
+        selector, seconds = _rank(series, n_pipelines, executor, n_jobs)
+        results[by_ref] = _result_signature(selector)
+        timings[by_ref] = seconds
     identical = results[True] == results[False]
     speedup = timings[False] / timings[True]
     return {
@@ -134,6 +164,41 @@ def _process_matrix(n_rows: int, n_pipelines: int, start_method: str, n_jobs: in
         "by_ref_seconds": round(timings[True], 4),
         "speedup": round(speedup, 3),
         "identical_results": identical,
+    }
+
+
+def _fork_matrix(n_rows: int, n_pipelines: int, n_jobs: int, pairs: int) -> dict:
+    """Default fork executor (by value) vs the same one forced onto shared memory.
+
+    Runs ``pairs`` pairs, alternating which side goes first, and records
+    every time: the leg shows what the plane would cost where workers
+    already share the caller's pages.
+    """
+    series = _series(n_rows)
+    _warm_workers("fork", n_jobs)
+    sides = {
+        "default": lambda: ProcessExecutor(n_jobs=n_jobs, start_method="fork"),
+        "shared_memory": lambda: SharedMemoryForkExecutor(n_jobs),
+    }
+    runs, signatures = [], set()
+    for pair in range(pairs):
+        order = ("default", "shared_memory") if pair % 2 == 0 else ("shared_memory", "default")
+        times = {}
+        for side in order:
+            selector, seconds = _rank(series, n_pipelines, sides[side](), n_jobs)
+            signatures.add(_result_signature(selector))
+            times[f"{side}_seconds"] = round(seconds, 4)
+        runs.append({"first": order[0], **times})
+    return {
+        "n_rows": n_rows,
+        "payload_mb": round(series.nbytes / 1e6, 1),
+        "n_pipelines": n_pipelines,
+        "n_jobs": n_jobs,
+        "pairs": runs,
+        "default_faster_pairs": sum(
+            run["default_seconds"] < run["shared_memory_seconds"] for run in runs
+        ),
+        "identical_results": len(signatures) == 1,
     }
 
 
@@ -158,12 +223,12 @@ def _remote_matrix(n_rows: int, n_pipelines: int, n_jobs: int) -> dict:
     parent_conn.close()
     try:
         results, timings, wires = {}, {}, {}
-        for dataplane in (False, True):
-            executor = RemoteExecutor(["%s:%d" % address])
-            selector, seconds = _rank(series, n_pipelines, executor, dataplane, n_jobs)
-            results[dataplane] = _result_signature(selector)
-            timings[dataplane] = seconds
-            wires[dataplane] = executor.wire_stats
+        for by_ref, backend in ((False, ByValueRemoteExecutor), (True, RemoteExecutor)):
+            executor = backend(["%s:%d" % address])
+            selector, seconds = _rank(series, n_pipelines, executor, n_jobs)
+            results[by_ref] = _result_signature(selector)
+            timings[by_ref] = seconds
+            wires[by_ref] = executor.wire_stats
     finally:
         process.terminate()
         process.join()
@@ -186,27 +251,22 @@ def _remote_matrix(n_rows: int, n_pipelines: int, n_jobs: int) -> dict:
 
 
 def run(tiny: bool) -> dict:
+    record = {"benchmark": "dataplane", "kind": "machinery", "mode": "tiny" if tiny else "full"}
     if tiny:
-        process = _process_matrix(
-            n_rows=20_000, n_pipelines=4, start_method="fork", n_jobs=2
+        record["process_matrix"] = _process_matrix(
+            n_rows=20_000, n_pipelines=4, start_method="spawn", n_jobs=2
         )
-        remote = _remote_matrix(n_rows=20_000, n_pipelines=4, n_jobs=2)
-    else:
-        # The serialization-bound configuration: spawn workers receive task
-        # payloads by pickling, so a 400 MB series makes data movement —
-        # per-task pickling into the worker plus per-job slice hashing for
-        # the evaluation cache — the dominant cost the plane removes.
-        process = _process_matrix(
-            n_rows=50_000_000, n_pipelines=8, start_method="spawn", n_jobs=2
-        )
-        remote = _remote_matrix(n_rows=1_500_000, n_pipelines=8, n_jobs=2)
-    return {
-        "benchmark": "dataplane",
-        "kind": "machinery",
-        "mode": "tiny" if tiny else "full",
-        "process_matrix": process,
-        "remote_matrix": remote,
-    }
+        record["remote_matrix"] = _remote_matrix(n_rows=20_000, n_pipelines=4, n_jobs=2)
+        return record
+    # The serialization-bound configuration: spawn workers receive task
+    # payloads by pickling, so a 400 MB series makes data movement —
+    # per-task pickling into the worker plus per-job slice hashing for
+    # the evaluation cache — the dominant cost the plane removes.
+    matrix = {"n_rows": 50_000_000, "n_pipelines": 8, "n_jobs": 2}
+    record["process_matrix"] = _process_matrix(start_method="spawn", **matrix)
+    record["fork_matrix"] = _fork_matrix(pairs=5, **matrix)
+    record["remote_matrix"] = _remote_matrix(n_rows=1_500_000, n_pipelines=8, n_jobs=2)
+    return record
 
 
 def _report(record: dict) -> None:
@@ -222,6 +282,18 @@ def _report(record: dict) -> None:
         f"by-ref {process['by_ref_seconds']:7.2f}s "
         f"({process['speedup']:.2f}x, identical: {process['identical_results']})"
     )
+    fork = record.get("fork_matrix")
+    if fork is not None:
+        times = ", ".join(
+            f"{run['default_seconds']:.2f}/{run['shared_memory_seconds']:.2f}s"
+            for run in fork["pairs"]
+        )
+        print(
+            f"  process[fork] {fork['payload_mb']}MB series    : "
+            f"by-value/forced-plane {times} "
+            f"(by-value faster in {fork['default_faster_pairs']}/{len(fork['pairs'])}, "
+            f"identical: {fork['identical_results']})"
+        )
     print(
         f"  remote {remote['payload_mb']}MB series  : "
         f"by-value {remote['by_value_bytes_sent'] / 1e6:8.1f}MB on wire -> "
@@ -240,6 +312,7 @@ def test_dataplane_speedup():
 
     process, remote = record["process_matrix"], record["remote_matrix"]
     assert process["identical_results"], "by-ref ranking diverged from by-value"
+    assert record["fork_matrix"]["identical_results"], "fork by-ref ranking diverged"
     assert remote["identical_results"], "remote by-ref ranking diverged"
     assert process["speedup"] >= 1.5, (
         f"expected >= 1.5x on the serialization-bound process matrix, "
@@ -268,10 +341,11 @@ def main(argv=None) -> int:
         _RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
         print(f"  record          : {_RESULT_PATH}")
 
-    process, remote = record["process_matrix"], record["remote_matrix"]
-    if not (process["identical_results"] and remote["identical_results"]):
+    legs = ("process_matrix", "fork_matrix", "remote_matrix")
+    if not all(record[leg]["identical_results"] for leg in legs if leg in record):
         print("FAIL: by-ref results diverged from by-value", file=sys.stderr)
         return 1
+    process, remote = record["process_matrix"], record["remote_matrix"]
     if not args.tiny:
         if process["speedup"] < 1.5:
             print(f"FAIL: speedup {process['speedup']:.2f}x < 1.5x", file=sys.stderr)

@@ -156,12 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "SECONDS, making a dead worker's cells pullable again (default: 300)",
     )
     parser.add_argument(
-        "--no-dataplane",
-        action="store_true",
-        help="ship task data by value instead of through the zero-copy "
-        "data plane (shared-memory/blob distribution of dataset arrays)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="persistent evaluation store for the AutoAI-TS cells "
@@ -354,7 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         store=store,
         worker_id=worker_id,
         reclaim_stale=args.reclaim_stale,
-        dataplane=not args.no_dataplane,
         steal=args.steal,
         split_threshold=args.split_threshold,
         verbose=not args.quiet,

@@ -13,15 +13,15 @@ The model is deliberately simple and self-correcting:
 
 - the **prior** is structural: ``units = samples x columns x pipelines``
   (a toolkit factory may advertise its internal pipeline count via a
-  ``pipeline_count`` attribute — AutoAI-TS ranks ~10 pipelines per cell,
-  a plain toolkit fits one model);
+  ``pipeline_count`` attribute — the AutoAI-TS factory advertises its
+  10-pipeline default inventory, a plain toolkit fits one model);
 - the **rate** (seconds per unit) is learned online, per toolkit, from
-  two feedback paths: completed-cell wall-clock
-  (:meth:`CellCostModel.observe`) and T-Daub's learning-curve cost
-  projections (:func:`project_cost_curve` — the same linear-fit
-  extrapolation T-Daub applies to scores, applied to cumulative
-  training seconds), published into the shared queue document so every
-  worker prices the remaining cells with the fleet's measurements.
+  completed-cell wall-clock: ``CellQueue.complete`` folds each whole
+  cell's seconds into an exponential moving average (EMA) kept in the
+  shared queue document, so every worker prices the remaining cells
+  with the fleet's measurements.  A running cell re-prices its own
+  entry: its queue beacon, handed to T-Daub as ``progress_callback``,
+  writes T-Daub's learning-curve cost projection into the entry.
 
 Cost estimates order and split work; they never touch results.  A wrong
 estimate costs wall-clock, not correctness — whichever worker runs a
@@ -35,13 +35,10 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..stats.linear_model import ols_fit
-
 __all__ = [
     "CellCostModel",
     "pipeline_count",
     "split_factories",
-    "project_cost_curve",
     "DEFAULT_SPLIT_THRESHOLD",
     "MAX_SPLIT_PARTS",
 ]
@@ -53,9 +50,6 @@ DEFAULT_SPLIT_THRESHOLD = 2.0
 #: Upper bound on the parts one cell is decomposed into — a split buys
 #: at most fleet-width concurrency, and every part pays queue round-trips.
 MAX_SPLIT_PARTS = 8
-
-#: Exponential-moving-average weight of a fresh rate observation.
-_RATE_ALPHA = 0.5
 
 
 def pipeline_count(factory: Any) -> int:
@@ -91,33 +85,6 @@ def split_factories(factory: Any, n_parts: int) -> list | None:
         return None
     parts = list(splitter(int(n_parts)))
     return parts if len(parts) >= 2 else None
-
-
-def project_cost_curve(
-    allocations: Sequence[float], seconds: Sequence[float], full_length: float
-) -> float | None:
-    """Project cumulative training seconds to the full data length.
-
-    The T-Daub tie-in: the ranking phase already records how long each
-    allocation round took, which is a *cost* learning curve.  The same
-    linear extrapolation T-Daub applies to scores, applied to cumulative
-    seconds, projects what the cell will cost at the full length — a
-    signal available rounds before the cell finishes.  Returns ``None``
-    with fewer than two finite points; the projection is clipped below
-    at the largest observed cost (a cost curve never goes down).
-    """
-    usable = [
-        (float(size), float(spent))
-        for size, spent in zip(allocations, seconds)
-        if np.isfinite(size) and np.isfinite(spent)
-    ]
-    if len(usable) < 2:
-        return None
-    sizes = np.array([size for size, _ in usable], dtype=float)
-    spent = np.array([cost for _, cost in usable], dtype=float)
-    fit = ols_fit(sizes.reshape(-1, 1), spent)
-    projected = float(fit.predict(np.array([[float(full_length)]]))[0])
-    return max(projected, float(spent.max()))
 
 
 class CellCostModel:
@@ -185,19 +152,6 @@ class CellCostModel:
     def estimate(self, dataset: str, toolkit: str) -> float:
         """Projected cost of one cell in seconds (relative pre-observation)."""
         return self.units(dataset, toolkit) * self.rate(toolkit)
-
-    def observe(self, toolkit: str, units: float, seconds: float) -> None:
-        """Fold one completed measurement into the toolkit's rate (EMA)."""
-        units = float(units)
-        seconds = float(seconds)
-        if not (np.isfinite(seconds) and seconds >= 0.0 and units > 0.0):
-            return
-        sample = seconds / units
-        previous = self.rates.get(toolkit)
-        if previous is None:
-            self.rates[toolkit] = sample
-        else:
-            self.rates[toolkit] = (1.0 - _RATE_ALPHA) * previous + _RATE_ALPHA * sample
 
     def order(self, cells: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
         """Cells sorted longest-projected-first (LPT), ties in given order."""

@@ -157,6 +157,8 @@ def autoai_toolkit_factories(store=None, budget: float | None = None) -> Dict[st
     def make(horizon: int) -> AutoAITS:
         return AutoAITS(prediction_horizon=horizon, store=store, budget=budget)
 
+    # The cost model prices a cell by the pipelines its toolkit ranks.
+    make.pipeline_count = len(PAPER_PIPELINE_NAMES)
     return {"AutoAI-TS": make}
 
 

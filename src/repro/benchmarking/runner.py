@@ -38,6 +38,7 @@ import numpy as np
 from .. import faults
 from .._validation import as_2d_array, check_fraction, check_horizon
 from ..core.base import BaseForecaster
+from ..exec.dataplane import share_payload
 from ..exec.executor import BaseExecutor, SerialExecutor, get_executor, resolve_n_jobs
 from ..exec.tasks import ToolkitRunTask, run_toolkit_task
 from .manifest import RunManifest, SharedManifest, fingerprint_of_spec, suite_spec
@@ -68,16 +69,24 @@ def _split_payload(handle, n_train: int):
     return handle[:n_train], handle[n_train:]
 
 
-def _register_payload(plane, data):
-    """Register one dataset with the data plane, per column for frames.
+def _shared_splits(plane, splits: Mapping[str, tuple]) -> Callable[[str], tuple]:
+    """``dataset -> (train, test)`` task payloads, shared on first use.
 
-    Spilled frames come back unchanged (they are already tiny, lazy
-    handles); in-RAM frames become per-column :class:`FrameRef`s; plain
-    arrays keep the historical monolithic registration.
+    One share per dataset per run: every cell of a dataset slices the
+    same read-only view or data-plane ref (see
+    :func:`~repro.exec.dataplane.share_payload`).  Sharing waits until a
+    cell actually runs, so a fully-warm resume pays no shared-memory copy
+    for a dataset it never computes.
     """
-    if getattr(data, "is_timeseries_frame", False):
-        return plane.register_frame(data)
-    return plane.register(data)
+    shared: dict[str, tuple] = {}
+
+    def splits_for(dataset: str) -> tuple:
+        if dataset not in shared:
+            data, n_train = splits[dataset]
+            shared[dataset] = _split_payload(share_payload(plane, data), n_train)
+        return shared[dataset]
+
+    return splits_for
 
 
 class BenchmarkRunner:
@@ -126,13 +135,6 @@ class BenchmarkRunner:
         ``claimed_at``/``heartbeat`` is older than this, its entries
         become pullable again.  ``None`` (default) never reclaims — a dead
         worker's leases stay blocked.  Requires ``steal``.
-    dataplane:
-        Use the execution backend's zero-copy data plane when it provides
-        one: each dataset is registered with the engine once per run and
-        every matrix cell ships ``ArrayRef`` train/test slices instead of
-        pickled arrays.  Results and manifests are identical to the
-        by-value path, which remains the fallback for executors without a
-        plane.  On by default.
     steal:
         Run as an **elastic work-stealing worker**: cells are pulled
         longest-projected-cost-first from a shared
@@ -171,7 +173,6 @@ class BenchmarkRunner:
         store=None,
         worker_id: str | None = None,
         reclaim_stale: float | None = None,
-        dataplane: bool = True,
         steal: bool = False,
         split_threshold: float | None = 2.0,
         verbose: bool = False,
@@ -188,7 +189,6 @@ class BenchmarkRunner:
         self.store = open_store(store)
         self.worker_id = worker_id
         self.reclaim_stale = None if reclaim_stale is None else float(reclaim_stale)
-        self.dataplane = dataplane
         self.steal = bool(steal)
         self.split_threshold = split_threshold
         if not self.steal and (worker_id is not None or reclaim_stale is not None):
@@ -258,8 +258,7 @@ class BenchmarkRunner:
         re-paid in full.
         """
         engine = get_executor(self.executor, self.n_jobs)
-        plane_factory = getattr(engine, "create_dataplane", None)
-        plane = plane_factory() if self.dataplane and callable(plane_factory) else None
+        plane = engine.create_dataplane()
         try:
             if self.steal:
                 return self._run_stealing(datasets, toolkits, resume, engine, plane)
@@ -276,24 +275,11 @@ class BenchmarkRunner:
         engine: BaseExecutor,
         plane,
     ) -> BenchmarkResults:
-        tasks: list[ToolkitRunTask] = []
         splits: dict[str, tuple[np.ndarray, int]] = {}
         for dataset_name, data in datasets.items():
             data = _canonical_dataset(data)
-            n_train = self._train_length(len(data))
-            splits[dataset_name] = (data, n_train)
-            train_part, test_part = _split_payload(data, n_train)
-            for toolkit_name, factory in toolkits.items():
-                tasks.append(
-                    ToolkitRunTask(
-                        tag=(dataset_name, toolkit_name),
-                        factory=factory,
-                        train=train_part,
-                        test=test_part,
-                        horizon=self.horizon,
-                        evaluation_window=self.evaluation_window,
-                    )
-                )
+            splits[dataset_name] = (data, self._train_length(len(data)))
+        cells = [(dataset, toolkit) for dataset in datasets for toolkit in toolkits]
 
         manifest: RunManifest | None = None
         if self.manifest_path is not None:
@@ -311,7 +297,7 @@ class BenchmarkRunner:
             if resume and manifest.load(strict=resume == "strict"):
                 self._log(
                     f"resuming from {self.manifest_path}: "
-                    f"{len(manifest)} of {len(tasks)} cells already recorded"
+                    f"{len(manifest)} of {len(cells)} cells already recorded"
                 )
 
         #: The manifest object of the latest ``run`` (None without
@@ -320,32 +306,26 @@ class BenchmarkRunner:
 
         completed: dict[tuple, ToolkitRun] = {}
         pending: list[ToolkitRunTask] = []
-        for task in tasks:
-            cached = manifest.get(*task.tag) if manifest is not None else None
+        splits_for = _shared_splits(plane, splits)
+        for cell in cells:
+            cached = manifest.get(*cell) if manifest is not None else None
             if cached is not None:
-                completed[task.tag] = cached
+                completed[cell] = cached
                 self._log(
                     f"{cached.dataset:<28s} {cached.toolkit:<18s} resumed from manifest"
                 )
-            else:
-                pending.append(task)
-
-        if plane is not None and pending:
-            # Registration waits until the resume merge has said which
-            # cells actually run: a fully-warm resume must not pay
-            # shared-memory copies for datasets it never computes.  One
-            # registration per dataset per run ("one plane per suite"): the
-            # shared splits of every cell are slices of the same pinned
-            # base, and register() hands the array back unchanged when it
-            # cannot pin — leaving those cells by-value.
-            registered: dict[str, tuple] = {}
-            for task in pending:
-                dataset_name = task.tag[0]
-                if dataset_name not in registered:
-                    data, n_train = splits[dataset_name]
-                    handle = _register_payload(plane, data)
-                    registered[dataset_name] = _split_payload(handle, n_train)
-                task.train, task.test = registered[dataset_name]
+                continue
+            train, test = splits_for(cell[0])
+            pending.append(
+                ToolkitRunTask(
+                    tag=cell,
+                    factory=toolkits[cell[1]],
+                    train=train,
+                    test=test,
+                    horizon=self.horizon,
+                    evaluation_window=self.evaluation_window,
+                )
+            )
 
         for chunk in self._checkpoint_chunks(pending, manifest, engine):
             outcomes = engine.map_tasks(
@@ -364,9 +344,9 @@ class BenchmarkRunner:
             faults.check("runner.checkpoint")
 
         results = BenchmarkResults(horizon=self.horizon)
-        for task in tasks:
-            if task.tag in completed:
-                results.add(completed[task.tag])
+        for cell in cells:
+            if cell in completed:
+                results.add(completed[cell])
         return results
 
     def _run_stealing(
@@ -436,18 +416,9 @@ class BenchmarkRunner:
             )
 
         completed: dict[tuple, ToolkitRun] = {}
-        registered: dict[str, tuple] = {}
         part_cache: dict[tuple[str, int], list] = {}
         batch_limit = max(1, resolve_n_jobs(self.n_jobs))
-
-        def splits_for(dataset: str):
-            data, n_train = splits[dataset]
-            if plane is None:
-                return _split_payload(data, n_train)
-            if dataset not in registered:
-                handle = _register_payload(plane, data)
-                registered[dataset] = _split_payload(handle, n_train)
-            return registered[dataset]
+        splits_for = _shared_splits(plane, splits)
 
         while True:
             batch = queue.pull(limit=batch_limit)

@@ -92,11 +92,6 @@ class AutoAITS(BaseForecaster):
         identical (pipeline, data slice, horizon) combinations are served
         from the store across processes and runs — point several
         benchmark workers at one store to split the work.
-    dataplane:
-        Hand T-Daub the execution backend's zero-copy data plane (the
-        default): the training split is registered with the engine once
-        and every evaluation task ships an ``ArrayRef`` slice instead of
-        pickled arrays.  ``False`` forces by-value task payloads.
     budget:
         Wall-clock budget in seconds for the T-Daub ranking phase,
         enforced cooperatively on every execution backend.  When it runs
@@ -126,7 +121,6 @@ class AutoAITS(BaseForecaster):
         n_jobs: int | None = None,
         executor=None,
         store=None,
-        dataplane: bool = True,
         budget: float | None = None,
         progress_callback=None,
     ):
@@ -145,7 +139,6 @@ class AutoAITS(BaseForecaster):
         self.n_jobs = n_jobs
         self.executor = executor
         self.store = store
-        self.dataplane = dataplane
         self.budget = budget
         self.progress_callback = progress_callback
 
@@ -222,7 +215,6 @@ class AutoAITS(BaseForecaster):
             n_jobs=self.n_jobs,
             executor=self.executor,
             store=self.store,
-            dataplane=self.dataplane,
             budget=self.budget,
             progress_callback=self.progress_callback,
         )

@@ -39,6 +39,7 @@ import numpy as np
 from .._validation import as_2d_array, check_positive_int
 from ..exceptions import InvalidParameterError
 from ..exec.cache import EvaluationCache
+from ..exec.dataplane import share_payload
 from ..exec.executor import BaseExecutor, Deadline, get_executor
 from ..exec.tasks import FitScoreResult, FitScoreTask, run_fit_score_task
 from ..stats.linear_model import ols_fit
@@ -250,16 +251,6 @@ class TDaub(BaseEstimator):
         Execution backend: ``None`` (serial for ``n_jobs<=1``, processes
         otherwise), an alias (``"serial"``, ``"threads"``, ``"processes"``)
         or a :class:`~repro.exec.BaseExecutor` instance.
-    dataplane:
-        Use the execution backend's zero-copy data plane when it provides
-        one: the training and test splits are registered once per fit
-        (shared memory on the process backend, one-time content-addressed
-        blobs on the remote backend) and every task ships an
-        :class:`~repro.exec.ArrayRef` slice instead of pickling array
-        values.  Rankings, score histories and cache keys are identical
-        to the by-value path, which remains the fallback for executors
-        without a plane (``create_dataplane() -> None``).  On by default;
-        ``False`` forces by-value task payloads everywhere.
     store:
         A persistent evaluation store shared across fits, processes and
         runs: a directory path, an ``http://`` URL of a
@@ -327,7 +318,6 @@ class TDaub(BaseEstimator):
         verbose: bool = False,
         n_jobs: int | None = None,
         executor: str | BaseExecutor | None = None,
-        dataplane: bool = True,
         store=None,
         budget: float | None = None,
         progress_callback: Callable[[dict], None] | None = None,
@@ -348,7 +338,6 @@ class TDaub(BaseEstimator):
         self.verbose = verbose
         self.n_jobs = n_jobs
         self.executor = executor
-        self.dataplane = dataplane
         self.store = store
         self.budget = budget
         self.progress_callback = progress_callback
@@ -525,10 +514,7 @@ class TDaub(BaseEstimator):
 
         start_time = time.perf_counter()
         self._engine = get_executor(self.executor, self.n_jobs)
-        plane_factory = getattr(self._engine, "create_dataplane", None)
-        self._plane = (
-            plane_factory() if self.dataplane and callable(plane_factory) else None
-        )
+        self._plane = self._engine.create_dataplane()
         try:
             return self._fit(T, start_time)
         finally:
@@ -598,28 +584,18 @@ class TDaub(BaseEstimator):
             if warm is not None and rolling and n_test == int(warm.n_test)
             else None
         )
+        # Share the inputs once per fit: every allocation below derives a
+        # zero-copy slice of a read-only view or of a data-plane ref.
         if rolling:
-            T_all = T
-            if self._plane is not None:
-                # Register the whole series once: train prefixes and
-                # rolling test windows are both zero-copy slices of it.
-                T_all = self._plane.register(T)
+            # Train prefixes and rolling test windows both slice the series.
+            T_all = share_payload(self._plane, T)
             T1, T2 = T_all[:L], T_all[L:]
         else:
-            T1, T2 = T[:L], T[L:]
-            if self._plane is not None:
-                # Register the splits once: every allocation below derives a
-                # zero-copy (base_ref, offset) slice instead of carrying array
-                # values.  register() returns the array unchanged when the
-                # plane cannot pin it, transparently keeping that input
-                # by-value.
-                T1 = self._plane.register(T1)
-                T2 = self._plane.register(T2)
+            T1, T2 = share_payload(self._plane, T[:L]), share_payload(self._plane, T[L:])
 
         def _train(allocation: int):
-            # T1 is an array or a data-plane ArrayRef: both slice rows
-            # without copying.  Rolling origin is inherently oldest-first:
-            # the train slice is the prefix the test window rolls away from.
+            # Rolling origin is inherently oldest-first: the train slice is
+            # the prefix the test window rolls away from.
             allocation = min(int(allocation), L)
             if rolling or self.allocation_direction == "oldest_first":
                 return T1[:allocation]

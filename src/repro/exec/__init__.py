@@ -12,10 +12,11 @@ scoring phase and the full benchmark matrix — funnels through this package:
   same ``map_tasks`` contract fanned out across machines over a socket
   protocol (length-prefixed pickle frames, forwarded timeouts/deadlines,
   worker-death detection, one-time content-addressed blob distribution).
-- :mod:`repro.exec.dataplane` — the zero-copy data plane: base arrays are
-  registered once per run (shared memory on the process backend, plain
-  references on serial/threads, blobs on remote) and tasks carry tiny
-  ``ArrayRef`` slices instead of pickled array values.
+- :mod:`repro.exec.dataplane` — the zero-copy data plane for workers that
+  do not share the caller's memory: base arrays are registered once per
+  run (shared memory for ``spawn``/``forkserver`` processes, blobs on
+  remote) and tasks carry tiny ``ArrayRef`` slices instead of pickled
+  array values.  Serial, thread and ``fork`` workers get read-only views.
 - :mod:`repro.exec.cache` — :class:`EvaluationCache`, a two-tier memo of
   ``(pipeline params, data fingerprints, horizon) -> score``: an in-memory
   LRU front tier plus an optional persistent tier, any

@@ -1,11 +1,13 @@
 """Zero-copy data plane: pin base arrays once, ship slices by reference.
 
-Every execution backend used to move task data *by value*: a T-Daub round
-with N pipelines pickled the same training slice N times into the process
-pool, and the remote backend re-sent identical bytes over the socket for
-every task of every batch.  On long series the per-task payload dominates
-the actual fit time.  This module separates **data distribution** from
-**task dispatch**:
+Workers that share the caller's memory (the serial and thread backends,
+``fork`` children) receive task data by value as read-only views, at no
+cost.  Workers that do not would be sent every slice by value: a T-Daub
+round with N pipelines pickled the same training slice N times into
+``spawn`` workers, and the remote backend re-sent identical bytes over the
+socket for every task of every batch.  On long series the per-task payload
+dominates the actual fit time.  For those workers this module separates
+**data distribution** from **task dispatch**:
 
 - A :class:`DataPlane` *registers* each base array once per run and hands
   back an :class:`ArrayRef` — ``(digest, start, stop)`` plus enough
@@ -13,17 +15,19 @@ the actual fit time.  This module separates **data distribution** from
   reverse allocations become literal ``(base_ref, offset)`` pairs:
   ``ref[start:stop]`` derives a narrower ref without touching the bytes.
 - Workers *resolve* refs through :func:`resolve_array`, which walks the
-  available distribution channels: the in-process registry (serial/thread
-  backends and ``fork`` children inherit it for free), a
-  ``multiprocessing.shared_memory`` segment (the process backend — one
-  copy at registration, every worker maps the same pages), or the
-  content-addressed blob registry fed by the remote wire protocol's
+  available distribution channels: the in-process registry (the
+  registering process and whatever it forks), a
+  ``multiprocessing.shared_memory`` segment (``spawn`` and ``forkserver``
+  workers — one copy at registration, every worker maps the same pages),
+  or the content-addressed blob registry fed by the remote wire protocol's
   ``blob_put`` frames (see :mod:`repro.exec.remote`).
 
-Planes are per-run objects created by ``executor.create_dataplane()`` and
-closed by the caller that created them; shared-memory segments are
-refcounted in the module registry and unlinked when the last plane using a
-digest closes.  A process that dies without closing is covered by
+Planes are per-run objects created by ``executor.create_dataplane()``
+(``None`` for workers that share the caller's memory) and closed by the
+caller that created them; :func:`share_payload` hands each base input to
+a run's tasks either way.  Shared-memory segments are refcounted in the
+module registry and unlinked when the last plane using a digest closes.
+A process that dies without closing is covered by
 ``multiprocessing.resource_tracker``, which unlinks leaked segments when
 the process tree exits.  Workers merely *attach* segments; the creator
 alone owns tracker registration and cleanup (see ``_attach_segment`` for
@@ -31,8 +35,7 @@ the per-version details).
 
 Everything here is transport: resolving a ref yields an array whose
 content is byte-identical to what the by-value path would have shipped,
-so cache keys, rankings and manifests are unchanged — by-value remains
-the fallback for custom executors (``create_dataplane() -> None``).
+so cache keys, rankings and manifests are unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ __all__ = [
     "resolve_array",
     "resolve_frame",
     "resolve_payload",
+    "share_payload",
     "hydrate_task",
     "publish_blob",
     "blob_is_known",
@@ -207,13 +211,13 @@ class _BaseEntry:
         self.shm = shm  # creator-side SharedMemory handle, if pinned
 
 
-#: Process-wide registry of registered bases.  Serial/thread backends and
-#: ``fork`` children resolve straight out of this dict; planes refcount
+#: Process-wide registry of registered bases.  The registering process and
+#: its ``fork`` children resolve straight out of this dict; planes refcount
 #: entries so overlapping runs on the same data share one registration.
-#: Guarded by ``_REGISTRY_LOCK``: concurrent planes (thread-backend cells
-#: each fitting a nested AutoAI-TS, say) register and release the same
-#: digests, and an unlocked read-modify-write of the refcounts would drop
-#: live entries or leak segments.
+#: Guarded by ``_REGISTRY_LOCK``: concurrent planes (runs on several
+#: threads of one process, say) register and release the same digests,
+#: and an unlocked read-modify-write of the refcounts would drop live
+#: entries or leak segments.
 _LOCAL_BASES: dict[str, _BaseEntry] = {}
 
 #: Segments this process *attached* (did not create), keyed by name.
@@ -383,10 +387,10 @@ def resolve_array(data: Any) -> np.ndarray:
     """Materialize a task payload: arrays pass through, refs are resolved.
 
     Resolution walks the distribution channels in cost order: the
-    in-process registry (free — serial/thread backends, ``fork`` children
-    and the registering process itself), received remote blobs, then a
-    shared-memory attach by name (``spawn`` workers).  The returned slice
-    is a read-only view of the pinned base — zero copies on every path.
+    in-process registry (free — the registering process and its ``fork``
+    children), received remote blobs, then a shared-memory attach by name
+    (``spawn`` and ``forkserver`` workers).  The returned slice is a
+    read-only view of the pinned base — zero copies on every path.
     """
     if not isinstance(data, ArrayRef):
         return data
@@ -504,14 +508,33 @@ def hydrate_task(task: Any) -> Any:
     return dataclasses.replace(task, **updates) if updates else task
 
 
+def share_payload(plane: "DataPlane | None", data: Any) -> Any:
+    """Hand one base input to a run's tasks: by reference or as a view.
+
+    With a plane the input is registered (per column for frames) and the
+    ref that comes back slices like the input.  Without one, arrays come
+    back as read-only C-contiguous float views, the form a registered
+    base resolves to, and frames pass through (their columns are
+    read-only already).  Either way a task that writes into its input
+    fails loudly instead of corrupting the slices other tasks train on.
+    """
+    if getattr(data, "is_timeseries_frame", False):
+        return data if plane is None else plane.register_frame(data)
+    if plane is not None:
+        return plane.register(data)
+    return _read_only(np.ascontiguousarray(data, dtype=float))
+
+
 class DataPlane:
-    """In-process data plane: plain references (serial/thread backends).
+    """Data plane base: pins bases in this process's registry.
 
     ``register`` pins a base array in the process-wide registry and returns
     a full-range :class:`ArrayRef`; tasks carry derived sub-refs and
-    workers resolve them through :func:`resolve_array`.  The plane also
-    memoizes per-slice content fingerprints, so a T-Daub round hashing the
-    same slice for N pipelines pays for one hash instead of N.
+    workers resolve them through :func:`resolve_array`.  Subclasses add
+    the channel that reaches workers outside this process:
+    :class:`SharedMemoryPlane` and the remote backend's blob plane.  The
+    plane also memoizes per-slice content fingerprints, so a T-Daub round
+    hashing the same slice for N pipelines pays for one hash instead of N.
 
     Planes are context managers; ``close`` releases every registration
     (refcounted — a digest shared with another live plane survives).
@@ -663,11 +686,10 @@ class DataPlane:
 
 
 class SharedMemoryPlane(DataPlane):
-    """Data plane of the process backend: bases pinned in shared memory.
+    """Data plane of ``spawn`` and ``forkserver`` workers: shared memory.
 
     ``register`` copies the base once into a ``multiprocessing.shared_memory``
-    segment; worker processes map the same pages (``fork`` children resolve
-    through the inherited registry without even attaching).  Segments are
+    segment; worker processes attach the same pages by name.  Segments are
     refcounted across planes and unlinked when the last plane using a
     digest closes; a crash of the creating process is covered by the
     resource tracker.  When a segment cannot be created (no ``/dev/shm``,

@@ -177,14 +177,16 @@ class BaseExecutor:
         raise NotImplementedError
 
     def create_dataplane(self):
-        """Zero-copy data plane matched to this backend, or ``None``.
+        """Zero-copy data plane for workers outside the caller's memory, or ``None``.
 
         Callers register base arrays with the returned
         :class:`~repro.exec.dataplane.DataPlane` and submit tasks carrying
         :class:`~repro.exec.dataplane.ArrayRef` slices instead of array
         values; the caller that created the plane must ``close()`` it when
-        the run ends.  The base implementation returns ``None`` — custom
-        executors keep receiving task data by value unless they opt in.
+        the run ends.  The base implementation returns ``None``: workers
+        that share the caller's memory (serial, threads, ``fork``
+        children) already receive task data as views, so it travels by
+        value.
         """
         return None
 
@@ -224,11 +226,6 @@ class SerialExecutor(BaseExecutor):
 
     name = "serial"
 
-    def create_dataplane(self):
-        from .dataplane import DataPlane
-
-        return DataPlane()
-
     def map_tasks(self, fn, tasks, timeout=None, deadline=None):
         outcomes = []
         for index, task in enumerate(tasks):
@@ -245,11 +242,6 @@ class ThreadExecutor(BaseExecutor):
 
     def __init__(self, n_jobs: int | None = None):
         self.n_jobs = resolve_n_jobs(n_jobs)
-
-    def create_dataplane(self):
-        from .dataplane import DataPlane
-
-        return DataPlane()
 
     def map_tasks(self, fn, tasks, timeout=None, deadline=None):
         if not tasks:
@@ -292,6 +284,11 @@ class ProcessExecutor(BaseExecutor):
     lets closures (e.g. toolkit factory lambdas) cross the process boundary
     without pickling; tasks that cannot be shipped to a worker at all fall
     back to inline execution with a soft timeout.
+
+    ``fork`` children also inherit the caller's arrays, so task data
+    travels by value there; only ``spawn`` and ``forkserver`` workers,
+    which would otherwise unpickle every slice, get a
+    :class:`~repro.exec.dataplane.SharedMemoryPlane`.
     """
 
     name = "processes"
@@ -310,6 +307,8 @@ class ProcessExecutor(BaseExecutor):
         self.poll_interval = float(poll_interval)
 
     def create_dataplane(self):
+        if self.start_method == "fork":
+            return None
         from .dataplane import SharedMemoryPlane
 
         return SharedMemoryPlane()

@@ -92,3 +92,25 @@ def multivariate_series() -> np.ndarray:
 def short_series() -> np.ndarray:
     """A very short series used to exercise fallback paths."""
     return np.array([10.0, 11.0, 12.5, 11.8, 13.0, 12.2, 14.1, 13.5, 15.0, 14.2])
+
+
+@pytest.fixture(scope="session")
+def shared_memory_fork_executor():
+    """Fork process executors forced onto the shared-memory data plane.
+
+    ``fork`` workers share the caller's memory, so ``ProcessExecutor``
+    gives them no plane and tasks travel by value.  This subclass keeps
+    the by-reference path reachable on ``fork`` so determinism suites
+    can compare it with the by-value one.  Returns the class; call it
+    with ``n_jobs``.
+    """
+    from repro.exec import ProcessExecutor, SharedMemoryPlane
+
+    class SharedMemoryForkExecutor(ProcessExecutor):
+        def __init__(self, n_jobs=None):
+            super().__init__(n_jobs, start_method="fork")
+
+        def create_dataplane(self):
+            return SharedMemoryPlane()
+
+    return SharedMemoryForkExecutor

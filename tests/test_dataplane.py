@@ -1,10 +1,11 @@
 """Tests for the zero-copy data plane: refs, planes, lifecycle, protocols.
 
 Covers the three distribution channels (in-process registry, shared-memory
-segments, remote blobs), the shared-memory lifecycle guarantees (no leaked
-segments or resource-tracker warnings after normal close, worker crash and
-deadline preemption) and the by-ref == by-value equivalence contracts
-(cache keys, rankings, manifests).
+segments, remote blobs), which backends get a plane at all, the
+shared-memory lifecycle guarantees (no leaked segments or resource-tracker
+warnings after normal close, worker crash and deadline preemption), the
+read-only task inputs of every backend and the by-ref == by-value
+equivalence contracts (cache keys, rankings, manifests).
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.benchmarking import BenchmarkRunner
 from repro.core import TDaub
 from repro.exec import (
     ArrayRef,
+    BaseExecutor,
     DataPlane,
     Deadline,
     EvaluationCache,
@@ -301,11 +303,99 @@ class TestSharedMemoryLifecycle:
             assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
+class TestTransportRule:
+    """Only workers outside the caller's memory get a data plane."""
+
+    def test_plane_only_for_workers_without_the_callers_memory(self):
+        assert SerialExecutor().create_dataplane() is None
+        assert ThreadExecutor(n_jobs=2).create_dataplane() is None
+        assert ProcessExecutor(n_jobs=2, start_method="fork").create_dataplane() is None
+        for start_method in ("spawn", "forkserver"):
+            plane = ProcessExecutor(n_jobs=2, start_method=start_method).create_dataplane()
+            try:
+                assert isinstance(plane, SharedMemoryPlane)
+            finally:
+                plane.close()
+
+    def test_fork_fit_pins_no_segment(self):
+        seen = []
+        TDaub(
+            pipelines=_pipelines(),
+            horizon=12,
+            n_jobs=2,
+            executor="processes",
+            progress_callback=lambda _event: seen.append(active_segments()),
+        ).fit(_series())
+        assert seen and all(segments == [] for segments in seen), seen
+
+
+class _InPlaceScaler(ZeroModelForecaster):
+    """Scales its training array in place instead of copying it first."""
+
+    def fit(self, X, y=None):
+        X *= 0.5
+        return super().fit(X)
+
+
+def _cells(selector, skip=()):
+    return {
+        name: (e.allocation_sizes, e.scores, e.final_score, e.failed)
+        for name, e in selector.evaluations_.items()
+        if name not in skip
+    }
+
+
+class TestReadOnlyTaskInputs:
+    """A task that writes into its input fails; its neighbours never notice."""
+
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_tdaub_cell_writing_its_input_fails(self, executor):
+        series = _series()
+
+        def fit(pipelines):
+            return TDaub(
+                pipelines=pipelines,
+                horizon=12,
+                run_to_completion=2,
+                n_jobs=2,
+                executor=executor,
+            ).fit(series)
+
+        clean = fit(_pipelines())
+        scribbled = fit(_pipelines() + [_InPlaceScaler(horizon=12)])
+        failed = scribbled.evaluations_["_InPlaceScaler"]
+        assert failed.failed and "read-only" in failed.failure_message
+        assert _cells(scribbled, skip={"_InPlaceScaler"}) == _cells(clean)
+        assert [n for n in scribbled.ranked_names_ if n != "_InPlaceScaler"] == (
+            clean.ranked_names_
+        )
+
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    def test_benchmark_cell_writing_its_input_fails(self, executor):
+        datasets = {"trend": 10.0 + 0.5 * np.arange(120.0)}
+        toolkits = {"Drift": lambda horizon: DriftForecaster(horizon=horizon)}
+
+        def cells(toolkits):
+            runner = BenchmarkRunner(horizon=6, n_jobs=2, executor=executor)
+            return {
+                run.toolkit: (run.smape, run.failed, run.error)
+                for run in runner.run(datasets, toolkits).runs
+            }
+
+        clean = cells(toolkits)
+        scribbled = cells(
+            {**toolkits, "InPlace": lambda horizon: _InPlaceScaler(horizon=horizon)}
+        )
+        _, failed, error = scribbled.pop("InPlace")
+        assert failed and "read-only" in error
+        assert scribbled == clean
+
+
 class TestCrossBackendDeterminismWithPlane:
     """By-ref and by-value runs must be indistinguishable in their results."""
 
     @pytest.mark.parametrize(
-        "executor",
+        "by_value",
         [
             SerialExecutor(),
             ThreadExecutor(n_jobs=2),
@@ -313,26 +403,31 @@ class TestCrossBackendDeterminismWithPlane:
         ],
         ids=lambda e: e.name,
     )
-    def test_tdaub_identical_with_plane_on_and_off(self, executor):
+    def test_tdaub_identical_with_plane_on_and_off(
+        self, by_value, shared_memory_fork_executor
+    ):
         series = _series()
-        results = {}
-        for dataplane in (True, False):
+        results = []
+        for executor in (by_value, shared_memory_fork_executor(n_jobs=2)):
             selector = TDaub(
                 pipelines=_pipelines(),
                 horizon=12,
                 run_to_completion=2,
                 n_jobs=2,
                 executor=executor,
-                dataplane=dataplane,
             ).fit(series)
-            results[dataplane] = (
-                selector.ranked_names_,
-                {name: e.scores for name, e in selector.evaluations_.items()},
-                {name: e.final_score for name, e in selector.evaluations_.items()},
+            results.append(
+                (
+                    selector.ranked_names_,
+                    {name: e.scores for name, e in selector.evaluations_.items()},
+                    {name: e.final_score for name, e in selector.evaluations_.items()},
+                )
             )
-        assert results[True] == results[False]
+        assert results[0] == results[1]
 
-    def test_benchmark_manifests_byte_identical_with_plane_on_and_off(self, tmp_path):
+    def test_benchmark_manifests_byte_identical_with_plane_on_and_off(
+        self, tmp_path, shared_memory_fork_executor
+    ):
         datasets = {
             "trend": 10.0 + 0.5 * np.arange(120.0),
             "seasonal": 50.0 + 8.0 * np.sin(2 * np.pi * np.arange(120.0) / 12.0),
@@ -342,40 +437,47 @@ class TestCrossBackendDeterminismWithPlane:
             "Drift": lambda horizon: DriftForecaster(horizon=horizon),
         }
         manifests = {}
-        for dataplane in (True, False):
-            path = tmp_path / f"manifest-{dataplane}.json"
+        for transport, executor in (
+            ("by-ref", shared_memory_fork_executor(n_jobs=2)),
+            ("by-value", "processes"),
+        ):
+            path = tmp_path / f"manifest-{transport}.json"
             runner = BenchmarkRunner(
                 horizon=6,
                 n_jobs=2,
-                executor="processes",
+                executor=executor,
                 manifest_path=str(path),
-                dataplane=dataplane,
             )
             results = runner.run(datasets, toolkits)
             record = json.loads(path.read_text())
             for cell in record["cells"]:
                 cell["train_seconds"] = 0.0  # timing is measurement, not result
-            manifests[dataplane] = (
+            manifests[transport] = (
                 json.dumps(record, sort_keys=True),
                 [(r.dataset, r.toolkit, r.smape, r.failed) for r in results.runs],
             )
-        assert manifests[True] == manifests[False]
+        assert manifests["by-ref"] == manifests["by-value"]
 
     def test_custom_executor_without_plane_stays_by_value(self):
-        class MinimalExecutor(SerialExecutor):
+        submitted = []
+
+        class MinimalExecutor(BaseExecutor):
             name = "minimal"
 
-            def create_dataplane(self):
-                return None
+            def map_tasks(self, fn, tasks, timeout=None, deadline=None):
+                submitted.extend(tasks)
+                return SerialExecutor().map_tasks(fn, tasks, timeout, deadline)
 
         series = _series()
         selector = TDaub(
             pipelines=_pipelines(), horizon=12, executor=MinimalExecutor()
         ).fit(series)
-        reference = TDaub(
-            pipelines=_pipelines(), horizon=12, executor="serial", dataplane=False
-        ).fit(series)
+        reference = TDaub(pipelines=_pipelines(), horizon=12, executor="serial").fit(series)
         assert selector.ranked_names_ == reference.ranked_names_
+        assert submitted
+        for task in submitted:
+            for data in (task.train, task.test):
+                assert isinstance(data, np.ndarray) and not data.flags.writeable
 
 
 def _serve_blob_worker(conn, blob_store) -> None:
@@ -500,12 +602,16 @@ class TestRemoteBlobPlane:
             process.join()
 
     def test_tdaub_over_remote_with_plane_matches_serial(self):
+        class ByValueRemoteExecutor(RemoteExecutor):
+            def create_dataplane(self):
+                return None
+
         process, address = _start_blob_server()
         try:
             series = _series()
-            reference = TDaub(
-                pipelines=_pipelines(), horizon=12, run_to_completion=2, dataplane=False
-            ).fit(series)
+            reference = TDaub(pipelines=_pipelines(), horizon=12, run_to_completion=2).fit(
+                series
+            )
             executor = RemoteExecutor(["%s:%d" % address])
             remote = TDaub(
                 pipelines=_pipelines(),
@@ -520,16 +626,15 @@ class TestRemoteBlobPlane:
             stats = executor.wire_stats
             assert stats.blob_bytes_sent > 0
 
-            executor.reset_wire_stats()
+            by_value_executor = ByValueRemoteExecutor(["%s:%d" % address])
             by_value = TDaub(
                 pipelines=_pipelines(),
                 horizon=12,
                 run_to_completion=2,
-                executor=executor,
-                dataplane=False,
+                executor=by_value_executor,
             ).fit(series)
             assert by_value.ranked_names_ == reference.ranked_names_
-            heavy = executor.wire_stats
+            heavy = by_value_executor.wire_stats
             # Same schedule, but every by-value task frame carries arrays:
             # the data plane must cut total bytes on the wire well below it.
             assert stats.bytes_sent < heavy.bytes_sent / 2

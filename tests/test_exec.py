@@ -455,7 +455,7 @@ def _fixed_seed_series():
     return 50.0 + 0.3 * t + 10.0 * np.sin(2 * np.pi * t / 12.0) + noise
 
 
-def _tdaub_trace(series, executor, n_jobs, dataplane, **params):
+def _tdaub_trace(series, executor, n_jobs, **params):
     """Ranking, every cell, final scores and the progress sequence of one fit."""
     progress = []
     selector = TDaub(
@@ -464,7 +464,6 @@ def _tdaub_trace(series, executor, n_jobs, dataplane, **params):
         run_to_completion=2,
         n_jobs=n_jobs,
         executor=executor,
-        dataplane=dataplane,
         progress_callback=lambda event: progress.append((event["phase"], event["allocation"])),
         **params,
     ).fit(series)
@@ -477,26 +476,32 @@ def _tdaub_trace(series, executor, n_jobs, dataplane, **params):
 
 
 class TestParallelTDaub:
-    @pytest.mark.parametrize("dataplane", [True, False], ids=["by-ref", "by-value"])
-    def test_parallel_matches_serial_exactly(self, dataplane):
+    @pytest.mark.parametrize("transport", ["by-ref", "by-value"])
+    def test_parallel_matches_serial_exactly(self, transport, shared_memory_fork_executor):
         """Every backend and worker count runs the serial ``n_jobs=1`` schedule.
 
         Ranking, every ``(allocation, score)`` cell, final scores and the
-        ``(phase, allocation)`` progress sequence must all match, with the
-        zero-copy data plane on and off: neither shipping slices by
-        reference nor ``n_jobs`` may show in any result.  The default grid
-        reaches the full length in its fixed rounds; the finer one leaves
-        several acceleration steps to run.
+        ``(phase, allocation)`` progress sequence must all match the
+        by-value serial run, on the by-value backends and on fork workers
+        forced onto the shared-memory data plane: neither shipping slices
+        by reference nor ``n_jobs`` may show in any result.  The default
+        grid reaches the full length in its fixed rounds; the finer one
+        leaves several acceleration steps to run.
         """
+        if transport == "by-ref":
+            backends = [shared_memory_fork_executor]
+        else:
+            backends = ["serial", "threads", "processes"]
         series = _fixed_seed_series()
         for params in ({}, {"min_allocation_size": 20}):
-            reference = _tdaub_trace(series, "serial", 1, dataplane, **params)
+            reference = _tdaub_trace(series, "serial", 1, **params)
             if params:
                 steps = [phase for phase, _ in reference[3] if phase == "accelerate"]
                 assert len(steps) >= 2
-            for executor in ("serial", "threads", "processes"):
+            for backend in backends:
                 for n_jobs in (1, 2, 4):
-                    current = _tdaub_trace(series, executor, n_jobs, dataplane, **params)
+                    executor = backend if isinstance(backend, str) else backend(n_jobs)
+                    current = _tdaub_trace(series, executor, n_jobs, **params)
                     assert current == reference, (
                         f"{executor} at n_jobs={n_jobs} with {params} diverged from serial"
                     )

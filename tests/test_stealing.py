@@ -1,12 +1,12 @@
 """Tests for the cost-aware work-stealing scheduler.
 
 Covers the scheduler's seams: the structural cost model (units, LPT
-order, online rates, split planning, T-Daub cost projection), the CAS
-cell queue (seed idempotence, exactly-once leasing under concurrent
-pulls on both store backends, merge gating, requeue/abandon, both steal
-modes, in-cell heartbeat beacons), the runner's stealing path (manifest
-byte-identity with a plain run, split-cell merge determinism on both
-backends, a late-joining worker that steals), and the scheduler
+order, rate fallback, split planning), the CAS cell queue (seed
+idempotence, exactly-once leasing under concurrent pulls on both store
+backends, the completion rate EMA, merge gating, requeue/abandon, both
+steal modes, in-cell heartbeat beacons), the runner's stealing path
+(manifest byte-identity with a plain run, split-cell merge determinism
+on both backends, a late-joining worker that steals), and the scheduler
 provenance rendering.
 """
 
@@ -22,12 +22,14 @@ from repro.benchmarking import (
     BenchmarkRunner,
     CellCostModel,
     CellQueue,
+    autoai_toolkit_factories,
     entry_key,
     pipeline_count,
     render_shard_provenance,
+    sota_toolkit_factories,
     split_factories,
 )
-from repro.benchmarking.costmodel import MAX_SPLIT_PARTS, project_cost_curve
+from repro.benchmarking.costmodel import MAX_SPLIT_PARTS
 from repro.core import TDaub
 from repro.core.base import BaseForecaster
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
@@ -200,18 +202,24 @@ class TestCostModel:
         # No observations: rate 1.0, estimates are relative structural sizes.
         assert model.estimate("m", "auto") == 3000.0
 
-    def test_rate_median_fallback_and_ema_observation(self):
+    def test_rate_median_fallback(self):
         model = CellCostModel({}, {}, rates={"A": 2.0, "B": 4.0})
         assert model.rate("A") == 2.0
         assert model.rate("unseen") == 3.0  # median of known peers
-        model.observe("C", units=100.0, seconds=50.0)
-        assert model.rates["C"] == 0.5  # first sample taken verbatim
-        model.observe("C", units=100.0, seconds=150.0)
-        assert model.rates["C"] == pytest.approx(1.0)  # EMA(0.5, 1.5)
-        # Junk observations are ignored.
-        model.observe("C", units=0.0, seconds=10.0)
-        model.observe("C", units=10.0, seconds=float("nan"))
-        assert model.rates["C"] == pytest.approx(1.0)
+
+    def test_autoai_cell_priced_above_single_model_cells(self):
+        """The AutoAI-TS factory advertises its 10-pipeline inventory.
+
+        Listed last, its cells still lead each dataset: before any rate
+        is learned, a cell is priced by the pipelines it ranks.
+        """
+        datasets = {"a": np.zeros(100), "b": np.zeros((60, 2))}
+        toolkits = {**sota_toolkit_factories(), **autoai_toolkit_factories()}
+        model = CellCostModel(datasets, toolkits)
+        ordered = model.order([(d, t) for d in datasets for t in toolkits])
+        for dataset in datasets:
+            row = [toolkit for name, toolkit in ordered if name == dataset]
+            assert row[0] == "AutoAI-TS", row
 
     def test_lpt_order_is_stable_on_ties(self):
         datasets = {"big": np.zeros(300), "s1": np.zeros(100), "s2": np.zeros(100)}
@@ -260,16 +268,6 @@ class TestCostModel:
         # caps the request at MAX_SPLIT_PARTS before consulting the factory.
         parts = [e for e in entries if e["kind"] == "part"]
         assert len(parts) == MAX_SPLIT_PARTS
-
-    def test_project_cost_curve(self):
-        # Linear curve: 0.01 s per sample, projected to 1000 samples.
-        assert project_cost_curve([100, 200, 300], [1.0, 2.0, 3.0], 1000) == pytest.approx(
-            10.0
-        )
-        assert project_cost_curve([100], [1.0], 1000) is None
-        assert project_cost_curve([], [], 1000) is None
-        # A projection never undercuts what was already spent.
-        assert project_cost_curve([100, 200], [5.0, 5.0], 50) == pytest.approx(5.0)
 
 
 # -- cell queue ----------------------------------------------------------------
@@ -341,6 +339,16 @@ class TestCellQueue:
         assert len(seen) == 6
         # The two "long" cells (400 units each) lead; ties stay in seq order.
         assert seen[:2] == [("long", "drift"), ("long", "zero")]
+
+    def test_complete_folds_cell_seconds_into_rate_ema(self, backend, queue_doc):
+        queue = _queue(backend, "w", queue_doc)
+        queue.seed(_plan({"a": np.zeros(100), "b": np.zeros(100)}, {"drift": _drift}))
+        rates = []
+        for seconds in (50.0, 150.0):
+            assert queue.complete(queue.pull()[0], seconds=seconds)
+            rates.append(queue.snapshot()["rates"]["drift"])
+        # First sample taken verbatim, then EMA(0.5, 1.5).
+        assert rates == [0.5, 1.0]
 
     def test_concurrent_pulls_grant_exactly_once(self, backend, queue_doc):
         import pickle
