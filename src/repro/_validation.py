@@ -23,7 +23,6 @@ __all__ = [
     "check_consistent_length",
     "has_missing",
     "has_negative",
-    "num_series",
 ]
 
 
@@ -115,8 +114,3 @@ def has_missing(array: np.ndarray) -> bool:
 def has_negative(array: np.ndarray) -> bool:
     """Return True when the array contains negative values (ignoring NaNs)."""
     return bool(np.nanmin(array) < 0) if array.size else False
-
-
-def num_series(array: np.ndarray) -> int:
-    """Number of time series (columns) in a canonical 2-D array."""
-    return 1 if array.ndim == 1 else array.shape[1]

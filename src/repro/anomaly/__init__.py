@@ -1,30 +1,11 @@
-"""Anomaly detection on time series (paper section 6 future work).
+"""Online residual drift watching for the streaming engine.
 
-The conclusion of the paper lists anomaly detection as the first planned
-extension of AutoAI-TS.  This package provides two detectors that reuse the
-existing forecasting substrates:
-
-* :class:`ForecastResidualDetector` — fit any forecaster (by default the
-  zero-conf :class:`~repro.core.autoai_ts.AutoAITS` pipeline winner can be
-  plugged in) on a rolling basis and flag observations whose one-step-ahead
-  residual is an outlier under a robust (median/MAD) z-score.
-* :class:`SeasonalESDDetector` — a seasonal-decomposition + generalised
-  extreme studentised deviate detector in the spirit of Twitter's
-  AnomalyDetection package, suitable for the NAB-style monitoring traces in
-  the benchmark suite.
-* :class:`ResidualDriftWatcher` — the online counterpart: a stateful
-  observer fed one forecast residual per arrival that reports sustained
-  regime change (:class:`DriftReport`), used by :mod:`repro.stream` to
-  trigger warm-started re-ranking.
+:class:`ResidualDriftWatcher` is a stateful observer fed one forecast
+residual per arrival; it reports sustained regime change
+(:class:`DriftReport`), which :mod:`repro.stream` answers with a
+warm-started re-rank.
 """
 
-from .detectors import AnomalyResult, ForecastResidualDetector, SeasonalESDDetector
 from .watch import DriftReport, ResidualDriftWatcher
 
-__all__ = [
-    "AnomalyResult",
-    "ForecastResidualDetector",
-    "SeasonalESDDetector",
-    "DriftReport",
-    "ResidualDriftWatcher",
-]
+__all__ = ["DriftReport", "ResidualDriftWatcher"]

@@ -1,14 +1,13 @@
 """Online residual drift watching for streaming re-ranking.
 
-The batch detectors in :mod:`repro.anomaly.detectors` score a finished
-series; a streaming engine needs the opposite shape — a tiny stateful
-observer that is fed one forecast residual per arrival and decides *now*
-whether the deployed ranking has gone stale.  :class:`ResidualDriftWatcher`
-applies the same robust statistic the batch detectors use (median/MAD
-z-score, consistent with a standard normal via the 0.6745 factor) to the
-stream of per-arrival residual magnitudes: a run of ``patience``
-consecutive robust outliers raises a :class:`DriftReport`, which
-:class:`repro.stream.StreamingEngine` answers with a warm-started re-rank.
+A streaming engine needs a tiny stateful observer that is fed one forecast
+residual per arrival and decides *now* whether the deployed ranking has
+gone stale.  :class:`ResidualDriftWatcher` applies a robust statistic
+(median/MAD z-score, consistent with a standard normal via the 0.6745
+factor) to the stream of per-arrival residual magnitudes: a run of
+``patience`` consecutive robust outliers raises a :class:`DriftReport`,
+which :class:`repro.stream.StreamingEngine` answers with a warm-started
+re-rank.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class ResidualDriftWatcher:
         Robust z-score above which one residual magnitude counts as an
         outlier.  The score is ``0.6745 * (m - median) / MAD`` over the
         rolling history of magnitudes (falling back to mean/std when the
-        MAD collapses to zero), matching ``repro.anomaly.detectors``.
+        MAD collapses to zero).
     patience:
         Number of *consecutive* outliers required before reporting.  A
         single spike is an anomaly; a sustained run is drift.

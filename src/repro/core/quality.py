@@ -29,15 +29,16 @@ class QualityReport:
     n_samples, n_series:
         Shape of the (canonicalised) input.
     has_missing:
-        True when NaNs were found (they are interpolated by :func:`clean_data`).
+        True when NaNs or infinite values were found; both count as missing
+        and are interpolated by :func:`clean_data`.
     has_negative:
-        True when negative values are present; log/Box-Cox style transforms
-        are disabled in that case.
+        True when negative finite values are present; log/Box-Cox style
+        transforms are disabled in that case.
     constant_series:
         Indices of series with zero variance (some models degrade to naive
         forecasts on them).
     missing_fraction:
-        Fraction of NaN cells in the raw input.
+        Fraction of NaN or infinite cells in the raw input.
     messages:
         Human readable notes displayed in the progress output.
     """
@@ -63,7 +64,7 @@ def check_data_quality(X, min_samples: int = 8) -> QualityReport:
     ------
     DataQualityError
         When the input is not numeric, is empty, is shorter than
-        ``min_samples`` or consists entirely of NaNs.
+        ``min_samples`` or holds no finite value.
     """
     array = as_2d_array(X, name="input data")
     n_samples, n_series = array.shape
@@ -74,13 +75,14 @@ def check_data_quality(X, min_samples: int = 8) -> QualityReport:
             f"{min_samples} observations are required."
         )
 
-    nan_mask = np.isnan(array)
-    if nan_mask.all():
-        raise DataQualityError("Input data contains only missing values.")
+    finite_mask = np.isfinite(array)
+    if not finite_mask.any():
+        raise DataQualityError("Input data contains only missing or infinite values.")
 
-    missing_fraction = float(nan_mask.mean())
-    has_missing = bool(nan_mask.any())
-    has_negative = bool(np.nanmin(array) < 0)
+    missing_fraction = float(1.0 - finite_mask.mean())
+    has_missing = not finite_mask.all()
+    n_infinite = int(np.isinf(array).sum())
+    has_negative = bool(array[finite_mask].min() < 0)
 
     constant_series = []
     for column in range(n_series):
@@ -90,6 +92,8 @@ def check_data_quality(X, min_samples: int = 8) -> QualityReport:
             constant_series.append(column)
 
     messages = []
+    if n_infinite:
+        messages.append(f"Infinite values detected ({n_infinite}); treated as missing.")
     if has_missing:
         messages.append(
             f"Missing values detected ({missing_fraction:.1%}); interpolation will be applied."
@@ -111,11 +115,12 @@ def check_data_quality(X, min_samples: int = 8) -> QualityReport:
 
 
 def clean_data(X, report: QualityReport | None = None) -> np.ndarray:
-    """Return a cleaned copy of the data (NaNs interpolated column-wise)."""
+    """Return a cleaned copy of the data (NaN and ±inf interpolated column-wise)."""
     array = as_2d_array(X, name="input data")
     if report is None:
         report = check_data_quality(array)
     if not report.has_missing:
         return array.copy()
+    array = np.where(np.isfinite(array), array, np.nan)
     columns = [interpolate_series(array[:, j], "linear") for j in range(array.shape[1])]
     return np.column_stack(columns)

@@ -643,6 +643,10 @@ class TDaub(BaseEstimator):
         schedule = allocation_schedule(
             names, evaluations, L, self._grid, self.geo_increment_size, int(self.run_to_completion)
         )
+        # Each allocation's slices are built once per fit and shared by every
+        # batch and cell that uses them, so the per-object digest memo
+        # fingerprints a by-value slice once per fit.
+        slices: dict[int, tuple] = {}
         ran = None
         while True:
             try:
@@ -658,9 +662,9 @@ class TDaub(BaseEstimator):
             self._log(
                 f"{phase} batch: " + ", ".join(f"{name} -> {size}" for name, size in cells)
             )
-            # Cells of one allocation share their slices, so a by-value slice
-            # is fingerprinted once per batch, not once per pipeline.
-            slices = {size: (_train(size), _test(size)) for size in {s for _, s in cells}}
+            for _, size in cells:
+                if size not in slices:
+                    slices[size] = (_train(size), _test(size))
             scores = self._evaluate_batch(
                 [(name, templates[name], *slices[size]) for name, size in cells], evaluations
             )

@@ -12,7 +12,6 @@ Three sources, mirroring section 5.1 of the paper:
 """
 
 from .generators import SignalSpec, compose_signal
-from .loaders import load_csv_series
 from .multivariate_suite import MULTIVARIATE_DATASET_SPECS, load_multivariate_dataset, multivariate_suite
 from .synthetic import SYNTHETIC_SIGNAL_NAMES, synthetic_dataset, synthetic_signal
 from .univariate_suite import UNIVARIATE_DATASET_SPECS, load_univariate_dataset, univariate_suite
@@ -20,7 +19,6 @@ from .univariate_suite import UNIVARIATE_DATASET_SPECS, load_univariate_dataset,
 __all__ = [
     "SignalSpec",
     "compose_signal",
-    "load_csv_series",
     "synthetic_signal",
     "synthetic_dataset",
     "SYNTHETIC_SIGNAL_NAMES",

@@ -1,8 +1,7 @@
 """Feed-forward neural network with back-propagation and Adam, in numpy.
 
-This is the deep-learning substrate: both the MLP regressor used by ML
-pipelines and the DL forecasters are thin wrappers around
-:class:`FeedForwardNetwork`.
+This is the deep-learning substrate: the DL forecasters are thin wrappers
+around :class:`FeedForwardNetwork`.
 """
 
 from __future__ import annotations

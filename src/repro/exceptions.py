@@ -33,10 +33,6 @@ class NonFiniteForecastError(ReproError, ValueError):
     """Raised when a forecast about to be returned or served contains NaN or inf."""
 
 
-class ConvergenceWarning(UserWarning):
-    """Warning emitted when an iterative solver stops before convergence."""
-
-
 class PipelineExecutionError(ReproError, RuntimeError):
     """Raised when a pipeline fails during T-Daub evaluation.
 

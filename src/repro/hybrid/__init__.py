@@ -3,8 +3,8 @@
 These are the "Stats-ML Hybrid Models" and "ML Models" boxes of the paper's
 architecture (figure 2): IID regressors wrapped behind look-back window
 transforms (``WindowRegressor`` and its ``WindowRandomForest`` /
-``WindowSVR`` instantiations), the AutoEnsembler family built on the flatten
-transforms, and the multivariate trend-to-residual forecaster
+``WindowSVR`` instantiations), the AutoEnsembler family over flattened
+look-back windows, and the multivariate trend-to-residual forecaster
 (``MT2RForecaster``).
 """
 

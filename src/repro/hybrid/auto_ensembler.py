@@ -1,4 +1,4 @@
-"""AutoEnsembler pipelines built on the flatten transforms.
+"""AutoEnsembler pipelines over flattened look-back windows.
 
 Three of the paper's ten pipelines are ensembles over flattened look-back
 windows (figure 14/15): ``FlattenAutoEnsembler (log)``,
@@ -7,7 +7,8 @@ windows (figure 14/15): ``FlattenAutoEnsembler (log)``,
 
 1. optionally applies a stateless log transform (handled by the surrounding
    :class:`~repro.core.pipeline.ForecastingPipeline`),
-2. applies its flatten variant (plain, differenced, or localized windows),
+2. builds its flatten variant inline (plain, differenced, or localized
+   windows),
 3. fits a small pool of heterogeneous regressors on the windowed problem,
 4. scores the pool on the most recent validation tail, and
 5. forecasts with a performance-weighted combination of the pool members
@@ -65,13 +66,6 @@ class FlattenAutoEnsembler(BaseForecaster):
         if self._mode == "difference":
             return np.diff(X, axis=0)
         return X
-
-    def _window_features(self, window: np.ndarray) -> np.ndarray:
-        """Convert one look-back window (lookback, n_series) to a feature row."""
-        if self._mode == "localized":
-            anchored = window - window[-1:]
-            return anchored.reshape(1, -1)
-        return window.reshape(1, -1)
 
     def _build_training_set(
         self, series: np.ndarray, lookback: int, column: int

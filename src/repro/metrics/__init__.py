@@ -1,15 +1,10 @@
 """Forecast accuracy metrics and toolkit ranking utilities."""
 
-from .errors import mae, mape, mase, mse, rmse, smape
+from .errors import smape
 from .ranking import RankSummary, average_ranks, rank_histogram, rank_toolkits
 
 __all__ = [
     "smape",
-    "mape",
-    "mae",
-    "mse",
-    "rmse",
-    "mase",
     "rank_toolkits",
     "average_ranks",
     "rank_histogram",

@@ -2,15 +2,14 @@
 
 The paper evaluates every toolkit with the Symmetric Mean Absolute
 Percentage Error (SMAPE), reported on a 0-200 scale (a model that fails to
-finish is recorded as 0 and excluded from ranking).  The remaining metrics
-are provided for the internal pipelines, the ablation benchmarks and tests.
+finish is recorded as 0 and excluded from ranking).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["smape", "mape", "mae", "mse", "rmse", "mase"]
+__all__ = ["smape"]
 
 
 def _align(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -41,43 +40,3 @@ def smape(y_true, y_pred) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(denominator == 0, 0.0, numerator / denominator)
     return float(200.0 * np.mean(ratio))
-
-
-def mape(y_true, y_pred, epsilon: float = 1e-10) -> float:
-    """Mean absolute percentage error (percent); zero actuals are skipped."""
-    y_true, y_pred = _align(y_true, y_pred)
-    mask = np.abs(y_true) > epsilon
-    if not mask.any():
-        return 0.0
-    return float(100.0 * np.mean(np.abs((y_true[mask] - y_pred[mask]) / y_true[mask])))
-
-
-def mae(y_true, y_pred) -> float:
-    """Mean absolute error."""
-    y_true, y_pred = _align(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
-def mse(y_true, y_pred) -> float:
-    """Mean squared error."""
-    y_true, y_pred = _align(y_true, y_pred)
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def rmse(y_true, y_pred) -> float:
-    """Root mean squared error."""
-    return float(np.sqrt(mse(y_true, y_pred)))
-
-
-def mase(y_true, y_pred, y_train, seasonal_period: int = 1) -> float:
-    """Mean absolute scaled error relative to the in-sample seasonal naive."""
-    y_true, y_pred = _align(y_true, y_pred)
-    y_train = np.asarray(y_train, dtype=float).reshape(-1)
-    seasonal_period = max(int(seasonal_period), 1)
-    if len(y_train) <= seasonal_period:
-        raise ValueError("Training series too short for the given seasonal period.")
-    naive_errors = np.abs(y_train[seasonal_period:] - y_train[:-seasonal_period])
-    scale = float(np.mean(naive_errors))
-    if scale == 0:
-        scale = 1e-10
-    return float(np.mean(np.abs(y_true - y_pred)) / scale)

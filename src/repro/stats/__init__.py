@@ -5,7 +5,7 @@ discovery mechanism (paper section 4.1), the statistical forecasters and the
 influence-vector ranking.
 """
 
-from .acf import acf, pacf, yule_walker
+from .acf import acf, yule_walker
 from .boxcox import boxcox_lambda, boxcox_transform, inverse_boxcox_transform
 from .linear_model import OLSResult, f_test_regression, ols_fit
 from .mutual_info import mutual_information
@@ -13,14 +13,12 @@ from .spectral import dominant_period, periodogram
 from .stattests import (
     adf_stationarity_stat,
     is_constant,
-    ljung_box,
     mean_crossing_period,
     zero_crossings,
 )
 
 __all__ = [
     "acf",
-    "pacf",
     "yule_walker",
     "boxcox_lambda",
     "boxcox_transform",
@@ -33,7 +31,6 @@ __all__ = [
     "dominant_period",
     "zero_crossings",
     "mean_crossing_period",
-    "ljung_box",
     "adf_stationarity_stat",
     "is_constant",
 ]

@@ -1,4 +1,4 @@
-"""Autocorrelation, partial autocorrelation and Yule-Walker estimation.
+"""Autocorrelation and Yule-Walker estimation.
 
 These power ARIMA order selection, the BATS ARMA-error component and the
 seasonality heuristics used when only values (no timestamps) are available.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["acf", "pacf", "yule_walker"]
+__all__ = ["acf", "yule_walker"]
 
 
 def acf(x, nlags: int | None = None, adjusted: bool = False) -> np.ndarray:
@@ -45,37 +45,6 @@ def acf(x, nlags: int | None = None, adjusted: bool = False) -> np.ndarray:
         cov = float(np.dot(centered[: n - lag], centered[lag:]))
         denom = variance * (n / (n - lag)) if adjusted else variance
         result[lag] = cov / denom
-    return result
-
-
-def pacf(x, nlags: int | None = None) -> np.ndarray:
-    """Partial autocorrelation via the Durbin-Levinson recursion."""
-    x = np.asarray(x, dtype=float).ravel()
-    n = len(x)
-    if nlags is None:
-        nlags = int(min(10 * np.log10(max(n, 2)), n // 2 - 1)) if n > 4 else 1
-    nlags = int(min(max(nlags, 1), max(n // 2 - 1, 1)))
-
-    autocorr = acf(x, nlags=nlags)
-    result = np.zeros(nlags + 1)
-    result[0] = 1.0
-    if nlags == 0:
-        return result
-
-    # Durbin-Levinson recursion.
-    phi = np.zeros((nlags + 1, nlags + 1))
-    phi[1, 1] = autocorr[1]
-    result[1] = autocorr[1]
-    for k in range(2, nlags + 1):
-        numerator = autocorr[k] - np.dot(phi[k - 1, 1:k], autocorr[k - 1 : 0 : -1])
-        denominator = 1.0 - np.dot(phi[k - 1, 1:k], autocorr[1:k])
-        if abs(denominator) < 1e-12:
-            phi[k, k] = 0.0
-        else:
-            phi[k, k] = numerator / denominator
-        for j in range(1, k):
-            phi[k, j] = phi[k - 1, j] - phi[k, k] * phi[k - 1, k - j]
-        result[k] = phi[k, k]
     return result
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["OLSResult", "ols_fit", "f_test_regression"]
 
@@ -29,8 +28,6 @@ class OLSResult:
         Coefficient of determination on the training data.
     f_statistic:
         Overall regression F statistic (explained vs. residual variance).
-    f_pvalue:
-        p-value of the F statistic.
     sigma2:
         Residual variance estimate (sum of squared residuals / dof).
     """
@@ -39,7 +36,6 @@ class OLSResult:
     residuals: np.ndarray
     r_squared: float
     f_statistic: float
-    f_pvalue: float
     sigma2: float
 
     def predict(self, X: np.ndarray, fit_intercept: bool = True) -> np.ndarray:
@@ -84,18 +80,15 @@ def ols_fit(X, y, fit_intercept: bool = True) -> OLSResult:
 
     if ss_res <= 0 or dof_model == 0:
         f_statistic = np.inf if ss_tot > 0 else 0.0
-        f_pvalue = 0.0 if ss_tot > 0 else 1.0
     else:
         ss_reg = max(ss_tot - ss_res, 0.0)
         f_statistic = (ss_reg / dof_model) / (ss_res / dof_resid)
-        f_pvalue = float(scipy_stats.f.sf(f_statistic, dof_model, dof_resid))
 
     return OLSResult(
         coefficients=coefficients,
         residuals=residuals,
         r_squared=float(np.clip(r_squared, -np.inf, 1.0)),
         f_statistic=float(f_statistic),
-        f_pvalue=float(f_pvalue),
         sigma2=float(sigma2),
     )
 

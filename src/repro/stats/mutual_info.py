@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mutual_information", "mutual_information_matrix"]
+__all__ = ["mutual_information"]
 
 
 def _entropy_from_counts(counts: np.ndarray) -> float:
@@ -43,11 +43,3 @@ def mutual_information(x, y, bins: int = 16) -> float:
     h_y = _entropy_from_counts(joint.sum(axis=0))
     h_xy = _entropy_from_counts(joint.ravel())
     return float(max(h_x + h_y - h_xy, 0.0))
-
-
-def mutual_information_matrix(X, y, bins: int = 16) -> np.ndarray:
-    """Mutual information between each column of ``X`` and the target ``y``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    return np.array([mutual_information(X[:, j], y, bins=bins) for j in range(X.shape[1])])

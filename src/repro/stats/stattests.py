@@ -1,23 +1,20 @@
 """Statistical tests and descriptive checks on time series.
 
 Includes the zero-crossing analysis from the look-back discovery mechanism
-(section 4.1), a Ljung-Box residual whiteness test, a Dickey-Fuller style
-stationarity statistic used by ARIMA's automatic differencing, and small
-helpers shared by the quality-check stage.
+(section 4.1), a Dickey-Fuller style stationarity statistic used by ARIMA's
+automatic differencing, and small helpers shared by the quality-check
+stage.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
-from .acf import acf
 from .linear_model import ols_fit
 
 __all__ = [
     "zero_crossings",
     "mean_crossing_period",
-    "ljung_box",
     "adf_stationarity_stat",
     "is_constant",
     "ndiffs",
@@ -53,22 +50,6 @@ def mean_crossing_period(x) -> float | None:
     if len(crossings) < 2:
         return None
     return float(np.mean(np.diff(crossings)))
-
-
-def ljung_box(residuals, lags: int = 10) -> tuple[float, float]:
-    """Ljung-Box Q statistic and p-value for residual autocorrelation."""
-    residuals = np.asarray(residuals, dtype=float).ravel()
-    n = len(residuals)
-    lags = int(min(max(lags, 1), max(n - 2, 1)))
-    if n < 3:
-        return 0.0, 1.0
-    autocorr = acf(residuals, nlags=lags)
-    q = 0.0
-    for k in range(1, lags + 1):
-        q += autocorr[k] ** 2 / (n - k)
-    q *= n * (n + 2)
-    p_value = float(scipy_stats.chi2.sf(q, lags))
-    return float(q), p_value
 
 
 def adf_stationarity_stat(x, max_lag: int | None = None) -> float:

@@ -1,45 +1,24 @@
 """Data transformations used to build forecasting pipelines.
 
-The paper distinguishes *stateless* transforms (log, fisher, box_cox, ...)
-which can be inverted without remembering anything about the data, and
-*stateful* transforms (difference, flatten, localized flatten, normalized
-flatten) which retain state so the operation can be reversed at prediction
-time.  Inverse transformations are applied in reverse order of application.
+* :class:`LogTransform` — the stateless transform of the paper's
+  ``(log)`` pipelines, inverted element-wise at prediction time.
+* :class:`InterpolationImputer` — fills missing values; the quality-check
+  stage runs its :func:`~repro.transforms.impute.interpolate_series`.
+* :func:`make_supervised_windows` — frames a series into look-back windows
+  for the window regressors.
+
+The difference, flatten and localized-flatten windows of the three
+AutoEnsemblers are built inline by
+:class:`~repro.hybrid.auto_ensembler.FlattenAutoEnsembler` and its
+subclasses, not by separate transform objects.
 """
 
 from .impute import InterpolationImputer
-from .resample import Downsampler, Upsampler
-from .scalers import MinMaxScaler, StandardScaler
-from .stateless import (
-    BoxCoxTransform,
-    FisherTransform,
-    IdentityTransform,
-    LogTransform,
-    SqrtTransform,
-)
-from .stateful import (
-    DifferenceTransform,
-    FlattenTransform,
-    LocalizedFlattenTransform,
-    NormalizedFlattenTransform,
-)
-from .window import SlidingWindowFramer, make_supervised_windows
+from .stateless import LogTransform
+from .window import make_supervised_windows
 
 __all__ = [
-    "IdentityTransform",
     "LogTransform",
-    "SqrtTransform",
-    "FisherTransform",
-    "BoxCoxTransform",
-    "DifferenceTransform",
-    "FlattenTransform",
-    "LocalizedFlattenTransform",
-    "NormalizedFlattenTransform",
-    "StandardScaler",
-    "MinMaxScaler",
     "InterpolationImputer",
-    "Upsampler",
-    "Downsampler",
-    "SlidingWindowFramer",
     "make_supervised_windows",
 ]

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_2d_array, check_positive_int
-from ..core.base import BaseTransformer, check_is_fitted
 
-__all__ = ["make_supervised_windows", "SlidingWindowFramer"]
+__all__ = ["make_supervised_windows"]
 
 
 def make_supervised_windows(
@@ -93,46 +92,3 @@ def make_supervised_windows(
     if targets.shape[1] == 1:
         targets = targets.ravel()
     return features, targets
-
-
-class SlidingWindowFramer(BaseTransformer):
-    """Transformer wrapper around :func:`make_supervised_windows`.
-
-    ``transform`` returns only the feature matrix (the framing of targets is
-    the estimator's concern); the most recent window is stored so a
-    forecaster can build the feature row for the first out-of-sample step.
-    """
-
-    stateful = True
-
-    def __init__(self, lookback: int = 8, flatten: bool = True):
-        self.lookback = lookback
-        self.flatten = flatten
-
-    def fit(self, X, y=None) -> "SlidingWindowFramer":
-        X = as_2d_array(X)
-        lookback = check_positive_int(self.lookback, "lookback")
-        if len(X) < lookback:
-            raise ValueError(
-                f"Series of length {len(X)} is shorter than lookback={lookback}."
-            )
-        self.n_features_ = X.shape[1]
-        self.last_window_ = X[-lookback:].copy()
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, ("last_window_",))
-        X = as_2d_array(X)
-        lookback = int(self.lookback)
-        n_windows = len(X) - lookback + 1
-        if n_windows <= 0:
-            shape = (0, lookback * X.shape[1]) if self.flatten else (0, lookback, X.shape[1])
-            return np.empty(shape)
-        windows = (
-            np.lib.stride_tricks.sliding_window_view(X, lookback, axis=0)
-            .transpose(0, 2, 1)
-            .copy()
-        )
-        if self.flatten:
-            return windows.reshape(n_windows, lookback * X.shape[1])
-        return windows

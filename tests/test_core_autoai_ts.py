@@ -79,6 +79,20 @@ class TestInputHandling:
         assert model.quality_report_.has_missing
         assert np.all(np.isfinite(model.predict(4)))
 
+    def test_infinite_values_are_cleaned(self):
+        # +inf and -inf count as missing: interpolated before any pipeline
+        # sees them, so the fit neither warns nor picks a model it cannot
+        # forecast with.  The conftest gate fails the session on a warning.
+        t = np.arange(96.0)
+        series = 10.0 + np.sin(2 * np.pi * t / 12.0)
+        series[50] = np.inf
+        series[70] = -np.inf
+        model = AutoAITS(prediction_horizon=6).fit(series)
+        report = model.quality_report_
+        assert report.has_missing and report.allow_log_transforms
+        assert any("Infinite" in message for message in report.messages)
+        assert np.all(np.isfinite(model.predict(6)))
+
     def test_negative_data_disables_log_pipelines(self):
         t = np.arange(200.0)
         series = 10.0 * np.sin(2 * np.pi * t / 12.0)  # crosses zero

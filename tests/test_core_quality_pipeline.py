@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import ForecastingPipeline, ProgressReporter, check_data_quality, clean_data
+from repro.core.base import BaseTransformer
 from repro.exceptions import DataQualityError, NotFittedError, PipelineExecutionError
 from repro.forecasters.holtwinters import HoltWintersForecaster
 from repro.forecasters.naive import ZeroModelForecaster
 from repro.hybrid.auto_ensembler import FlattenAutoEnsembler
 from repro.metrics import smape
 from repro.ml import RidgeRegression
-from repro.transforms import LogTransform, StandardScaler
+from repro.transforms import LogTransform
 
 
 class TestQualityCheck:
@@ -48,6 +49,17 @@ class TestQualityCheck:
         with pytest.raises(DataQualityError):
             check_data_quality(np.full(20, np.nan))
 
+    def test_infinite_values_count_as_missing(self):
+        data = np.array([1.0, np.inf, 3.0, 4.0, -np.inf, 6.0, 7.0, 8.0])
+        report = check_data_quality(data)
+        assert report.has_missing and not report.has_negative
+        assert report.missing_fraction == pytest.approx(2 / 8)
+        assert any("Infinite" in message for message in report.messages)
+        cleaned = clean_data(data, report)
+        assert cleaned[1, 0] == pytest.approx(2.0) and cleaned[4, 0] == pytest.approx(5.0)
+        with pytest.raises(DataQualityError):
+            check_data_quality(np.resize([np.inf, -np.inf, np.nan], 20))
+
     def test_string_data_raises(self):
         with pytest.raises(DataQualityError):
             check_data_quality(["a"] * 20)
@@ -62,6 +74,22 @@ class TestQualityCheck:
         cleaned = clean_data(seasonal_series)
         assert cleaned is not seasonal_series
         assert np.allclose(cleaned.ravel(), seasonal_series)
+
+
+class _StandardizeTransform(BaseTransformer):
+    """Affine transform that learns a per-column shift and scale in ``fit``."""
+
+    def fit(self, X, y=None) -> "_StandardizeTransform":
+        X = np.asarray(X, dtype=float)
+        self.shift_ = X.mean(axis=0)
+        self.scale_ = X.std(axis=0)
+        return self
+
+    def transform(self, X) -> np.ndarray:
+        return (np.asarray(X, dtype=float) - self.shift_) / self.scale_
+
+    def inverse_transform(self, X) -> np.ndarray:
+        return np.asarray(X, dtype=float) * self.scale_ + self.shift_
 
 
 class TestForecastingPipeline:
@@ -80,7 +108,7 @@ class TestForecastingPipeline:
 
     def test_inverse_applied_in_reverse_order(self, weekly_series):
         pipeline = ForecastingPipeline(
-            steps=[("scale", StandardScaler()), ("log", LogTransform())],
+            steps=[("scale", _StandardizeTransform()), ("log", LogTransform())],
             forecaster=ZeroModelForecaster(horizon=3),
         )
         pipeline.fit(weekly_series)

@@ -9,10 +9,17 @@ from repro.core import TDaub, clone
 from repro.core.registry import PipelineRegistry
 from repro.core.tdaub import PipelineEvaluation, allocation_schedule
 from repro.exceptions import InvalidParameterError
+from repro.forecasters.ets import SimpleExponentialSmoothing
 from repro.forecasters.holtwinters import HoltWintersForecaster
 from repro.exec.tasks import FitScoreTask, run_fit_score_task
-from repro.forecasters.naive import DriftForecaster, MeanForecaster, ZeroModelForecaster
+from repro.forecasters.naive import (
+    DriftForecaster,
+    MeanForecaster,
+    SeasonalNaiveForecaster,
+    ZeroModelForecaster,
+)
 from repro.forecasters.theta import ThetaForecaster
+from repro.store.digest import clear_digest_memo, digest_memo_stats
 
 
 @pytest.fixture()
@@ -159,6 +166,32 @@ class TestTDaub:
         selector = TDaub(pipelines=pipelines, horizon=6).fit(seasonal_series)
         assert selector.best_pipeline_ is not None
         assert selector.predict(6).shape == (6, 1)
+
+    def test_each_slice_fingerprinted_once_per_fit(self):
+        # Two acceleration steps and the scoring batch all use the
+        # 2,400-row train slice; it must be one object for the whole fit so
+        # the per-object digest memo hashes it once.
+        rng = np.random.default_rng(0)
+        t = np.arange(3000.0)
+        series = 50 + 0.01 * t + 5 * np.sin(2 * np.pi * t / 7) + rng.normal(0, 1, 3000)
+        steps = []
+        clear_digest_memo()
+        TDaub(
+            pipelines=[
+                ZeroModelForecaster(horizon=6),
+                DriftForecaster(horizon=6),
+                MeanForecaster(horizon=6),
+                SeasonalNaiveForecaster(seasonal_period=7, horizon=6),
+                SimpleExponentialSmoothing(horizon=6),
+            ],
+            horizon=6,
+            run_to_completion=2,
+            progress_callback=lambda event: steps.append((event["phase"], event["allocation"])),
+        ).fit(series)
+        assert steps[-3:] == [("accelerate", 2400), ("accelerate", 2400), ("score", 2400)]
+        # One miss per distinct slice the memo keeps (at least 4,096 bytes):
+        # the 720, 960, 1,200 and 2,400-row train slices and the test slice.
+        assert digest_memo_stats()["misses"] == 5
 
 
 def _drive(schedule, evaluations, scores, decline=()):

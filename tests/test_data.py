@@ -9,7 +9,6 @@ from repro.data import (
     SignalSpec,
     UNIVARIATE_DATASET_SPECS,
     compose_signal,
-    load_csv_series,
     load_multivariate_dataset,
     load_univariate_dataset,
     multivariate_suite,
@@ -18,7 +17,6 @@ from repro.data import (
     univariate_suite,
 )
 from repro.data.synthetic import FIGURE5_SIGNALS, SYNTHETIC_LENGTH
-from repro.exceptions import DataQualityError
 from repro.stats import dominant_period
 
 
@@ -146,33 +144,3 @@ class TestMultivariateSuite:
     def test_suite_limit(self):
         suite = multivariate_suite(max_length=100, limit=2)
         assert len(suite) == 2
-
-
-class TestCsvLoader:
-    def test_load_with_header_and_timestamps(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("date,value\n2021-01-01,1.5\n2021-01-02,2.5\n2021-01-03,\n")
-        values, timestamps = load_csv_series(path, timestamp_column=0)
-        assert values.shape == (3, 1)
-        assert values[1, 0] == 2.5
-        assert np.isnan(values[2, 0])
-        assert timestamps[0] == "2021-01-01"
-
-    def test_load_without_header(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        path.write_text("1.0,10.0\n2.0,20.0\n")
-        values, timestamps = load_csv_series(path)
-        assert values.shape == (2, 2)
-        assert timestamps is None
-
-    def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DataQualityError):
-            load_csv_series(path)
-
-    def test_non_numeric_file_raises(self, tmp_path):
-        path = tmp_path / "text.csv"
-        path.write_text("a,b\nc,d\n")
-        with pytest.raises(DataQualityError):
-            load_csv_series(path)

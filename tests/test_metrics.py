@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.metrics import average_ranks, mae, mape, mase, mse, rank_toolkits, rmse, smape
+from repro.metrics import average_ranks, rank_toolkits, smape
 from repro.metrics.ranking import rank_histogram
 
 
@@ -46,35 +46,6 @@ class TestSmape:
     @settings(max_examples=50, deadline=None)
     def test_identity_is_zero(self, values):
         assert smape(values, values) == 0.0
-
-
-class TestOtherMetrics:
-    def test_mae(self):
-        assert mae([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.5)
-
-    def test_mse_and_rmse(self):
-        assert mse([1.0, 2.0], [2.0, 4.0]) == pytest.approx(2.5)
-        assert rmse([1.0, 2.0], [2.0, 4.0]) == pytest.approx(np.sqrt(2.5))
-
-    def test_mape_ignores_zero_actuals(self):
-        assert mape([0.0, 10.0], [5.0, 11.0]) == pytest.approx(10.0)
-
-    def test_mase_scales_by_naive(self):
-        train = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        value = mase([6.0, 7.0], [6.0, 7.0], train)
-        assert value == 0.0
-
-    def test_mase_too_short_train_raises(self):
-        with pytest.raises(ValueError):
-            mase([1.0], [1.0], [1.0], seasonal_period=5)
-
-    @given(
-        hnp.arrays(np.float64, 6, elements=st.floats(-1e4, 1e4)),
-        hnp.arrays(np.float64, 6, elements=st.floats(-1e4, 1e4)),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_mae_non_negative(self, a, b):
-        assert mae(a, b) >= 0.0
 
 
 class TestRanking:

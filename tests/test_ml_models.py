@@ -9,12 +9,9 @@ from repro.exceptions import InvalidParameterError
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
-    KNeighborsRegressor,
     LinearRegression,
-    MLPRegressor,
     RandomForestRegressor,
     RidgeRegression,
-    SGDRegressor,
     SVR,
 )
 
@@ -70,38 +67,6 @@ class TestLinearModels:
     def test_ridge_accuracy(self, linear_problem):
         X_train, y_train, X_test, y_test = linear_problem
         assert RidgeRegression(alpha=0.1).fit(X_train, y_train).score(X_test, y_test) > 0.99
-
-
-class TestSGD:
-    def test_fits_linear_problem(self, linear_problem):
-        X_train, y_train, X_test, y_test = linear_problem
-        model = SGDRegressor(max_iter=150, random_state=0).fit(X_train, y_train)
-        assert model.score(X_test, y_test) > 0.95
-
-    @pytest.mark.parametrize("loss", ["squared_error", "huber", "epsilon_insensitive"])
-    def test_all_losses_run(self, loss, linear_problem):
-        X_train, y_train, X_test, y_test = linear_problem
-        # The robust losses trade a little accuracy for outlier resistance, so
-        # the bar here is "clearly learned the relationship", not "matches OLS".
-        model = SGDRegressor(loss=loss, max_iter=200).fit(X_train, y_train)
-        assert model.score(X_test, y_test) > 0.75
-
-    def test_unknown_loss_raises(self):
-        with pytest.raises(InvalidParameterError):
-            SGDRegressor(loss="absolute").fit(np.ones((4, 1)), np.ones(4))
-
-    def test_huber_robust_to_outliers(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(300, 1))
-        y = 2.0 * X.ravel()
-        y[::20] += 50.0  # gross outliers
-        huber = SGDRegressor(loss="huber", epsilon=0.5, max_iter=200).fit(X, y)
-        squared = SGDRegressor(loss="squared_error", max_iter=200).fit(X, y)
-        grid = np.linspace(-2, 2, 50).reshape(-1, 1)
-        truth = 2.0 * grid.ravel()
-        assert np.mean(np.abs(huber.predict(grid) - truth)) <= np.mean(
-            np.abs(squared.predict(grid) - truth)
-        )
 
 
 class TestDecisionTree:
@@ -249,54 +214,6 @@ class TestSVR:
             SVR(kernel="sigmoid").fit(np.ones((5, 1)), np.ones(5))
         with pytest.raises(InvalidParameterError):
             SVR(gamma=-2.0).fit(np.ones((5, 1)), np.ones(5))
-
-
-class TestKNN:
-    def test_exact_neighbor_lookup(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([0.0, 10.0, 20.0, 30.0])
-        model = KNeighborsRegressor(n_neighbors=1).fit(X, y)
-        assert model.predict(np.array([[1.1]]))[0] == pytest.approx(10.0)
-
-    def test_uniform_average(self):
-        X = np.array([[0.0], [1.0], [10.0]])
-        y = np.array([0.0, 2.0, 100.0])
-        model = KNeighborsRegressor(n_neighbors=2).fit(X, y)
-        assert model.predict(np.array([[0.5]]))[0] == pytest.approx(1.0)
-
-    def test_distance_weighting_prefers_closer(self):
-        X = np.array([[0.0], [1.0]])
-        y = np.array([0.0, 10.0])
-        model = KNeighborsRegressor(n_neighbors=2, weights="distance").fit(X, y)
-        assert model.predict(np.array([[0.1]]))[0] < 5.0
-
-    def test_k_larger_than_dataset_clamped(self):
-        model = KNeighborsRegressor(n_neighbors=50).fit(np.arange(5.0).reshape(-1, 1), np.arange(5.0))
-        assert np.isfinite(model.predict(np.array([[2.0]]))[0])
-
-    def test_invalid_weights_raise(self):
-        with pytest.raises(InvalidParameterError):
-            KNeighborsRegressor(weights="gaussian").fit(np.ones((3, 1)), np.ones(3))
-
-
-class TestMLP:
-    def test_fits_nonlinear_function(self, nonlinear_problem):
-        X_train, y_train, X_test, y_test = nonlinear_problem
-        model = MLPRegressor(hidden_layer_sizes=(32, 16), max_iter=150, random_state=0)
-        model.fit(X_train, y_train)
-        assert model.score(X_test, y_test) > 0.85
-
-    def test_loss_curve_decreases(self, linear_problem):
-        X_train, y_train, _, _ = linear_problem
-        model = MLPRegressor(max_iter=50, random_state=0).fit(X_train, y_train)
-        assert model.loss_curve_[-1] < model.loss_curve_[0]
-
-    def test_multi_output_shapes(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(200, 3))
-        Y = np.column_stack([X[:, 0], X[:, 1] * 2.0])
-        model = MLPRegressor(max_iter=30).fit(X, Y)
-        assert model.predict(X).shape == (200, 2)
 
 
 class TestDeterminism:

@@ -12,7 +12,6 @@ from repro._validation import (
     check_positive_int,
     has_missing,
     has_negative,
-    num_series,
 )
 from repro.exceptions import DataQualityError, InvalidParameterError
 
@@ -104,7 +103,3 @@ class TestArrayPredicates:
     def test_has_negative(self):
         assert has_negative(np.array([[1.0], [-0.5]]))
         assert not has_negative(np.array([[0.0], [2.0]]))
-
-    def test_num_series(self):
-        assert num_series(np.zeros((5, 3))) == 3
-        assert num_series(np.zeros(5)) == 1
