@@ -7,10 +7,10 @@ data plane pays once per run:
 
 - **process backend** (``spawn`` — the serialization-bound configuration,
   and the only start method on Windows/macOS): every task pickles its full
-  train/test arrays into the worker, and the parent hashes the same slice
-  once per pipeline for the evaluation cache.  With the plane, the base
-  array is pinned in shared memory once, tasks carry ``ArrayRef`` slices,
-  and per-slice fingerprints are memoized.
+  train/test arrays into the worker.  With the plane, the base array is
+  pinned in shared memory once and tasks carry ``ArrayRef`` slices.
+  Either way the evaluation cache keys on the parent's local views, so
+  both sides hash the same slices.
 - **remote backend**: every task frame re-sends identical bytes over the
   socket.  With the plane, the base crosses the wire once as a
   content-addressed blob and task frames collapse to refs.

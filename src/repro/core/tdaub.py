@@ -39,9 +39,9 @@ import numpy as np
 from .._validation import as_2d_array, check_positive_int
 from ..exceptions import InvalidParameterError
 from ..exec.cache import EvaluationCache
-from ..exec.dataplane import share_payload
+from ..exec.dataplane import resolve_array, share_payload
 from ..exec.executor import BaseExecutor, Deadline, get_executor
-from ..exec.tasks import FitScoreResult, FitScoreTask, run_fit_score_task
+from ..exec.tasks import FitScoreResult, FitScoreTask, _apply_horizon, run_fit_score_task
 from ..stats.linear_model import ols_fit
 from .base import BaseEstimator, BaseForecaster, clone
 
@@ -120,11 +120,11 @@ class TDaubWarmState:
     and carries three score sources for those cells: the live
     :class:`~repro.exec.EvaluationCache` (adopted, stats reset), the raw
     ``(pipeline, n_train) -> score`` points as a fallback when cache
-    entries were evicted, and the cost curve to seed the wall-clock
-    projection.  Under ``eval_protocol="rolling_origin"`` every cell whose
-    train+test window lies inside ``series_length`` is a pure function of
-    bytes that appends cannot change, so the warm run re-fits nothing for
-    them — that is the O(Δ) re-ranking path.
+    entries were evicted, and the cost projection that seeds the
+    wall-clock estimate.  Under ``eval_protocol="rolling_origin"`` every
+    cell whose train+test window lies inside ``series_length`` is a pure
+    function of bytes that appends cannot change, so the warm run re-fits
+    nothing for them — that is the O(Δ) re-ranking path.
     """
 
     series_length: int
@@ -136,7 +136,6 @@ class TDaubWarmState:
     cutoff: int
     ranked_names: list[str] = field(default_factory=list)
     points: dict = field(default_factory=dict, repr=False)
-    cost_curve: list = field(default_factory=list, repr=False)
     cost_projection: float | None = None
     cache: EvaluationCache | None = field(default=None, repr=False)
 
@@ -314,7 +313,6 @@ class TDaub(BaseEstimator):
         test_fraction: float = 0.2,
         horizon: int = 1,
         allocation_direction: str = "recent_first",
-        scorer: Callable[[BaseForecaster, np.ndarray], float] | None = None,
         verbose: bool = False,
         n_jobs: int | None = None,
         executor: str | BaseExecutor | None = None,
@@ -334,7 +332,6 @@ class TDaub(BaseEstimator):
         self.test_fraction = test_fraction
         self.horizon = horizon
         self.allocation_direction = allocation_direction
-        self.scorer = scorer
         self.verbose = verbose
         self.n_jobs = n_jobs
         self.executor = executor
@@ -386,19 +383,21 @@ class TDaub(BaseEstimator):
 
     def _evaluate_batch(
         self,
-        jobs: Sequence[tuple[str, BaseForecaster, np.ndarray, np.ndarray]],
+        jobs: Sequence[tuple[str, BaseForecaster, tuple, tuple]],
         evaluations: dict[str, PipelineEvaluation],
     ) -> list[float]:
-        """Evaluate a batch of independent ``(name, template, train, test)`` jobs.
+        """Evaluate a batch of independent ``(name, template, shipped, keyed)`` jobs.
 
-        Cache hits are resolved immediately; only misses are submitted to the
-        execution engine.  Results are recorded into the evaluation history
-        in job order, so the caller's schedule stays deterministic no matter
-        how the backend interleaves the actual work.
+        ``shipped`` is the ``(train, test)`` pair a task carries (views or
+        data-plane refs) and ``keyed`` the same slices as local views, which
+        the cache keys on.  Cache hits are resolved immediately; only misses
+        are submitted to the execution engine.  Results are recorded into
+        the evaluation history in job order, so the caller's schedule stays
+        deterministic no matter how the backend interleaves the actual work.
         """
         results: dict[int, FitScoreResult] = {}
         pending: list[tuple[int, object, FitScoreTask]] = []
-        for index, (name, template, train, test) in enumerate(jobs):
+        for index, (name, template, (train, test), keyed) in enumerate(jobs):
             # Under a rolling-origin warm start, a cell whose train+test
             # window fits inside the previously ranked prefix is untouched
             # by the appended rows: its evaluation *must* be reusable.
@@ -406,9 +405,7 @@ class TDaub(BaseEstimator):
                 self._prefix_limit is not None
                 and len(train) + len(test) <= self._prefix_limit
             )
-            key = self._cache.make_key(
-                template, train, test, self.horizon, self.scorer, plane=self._plane
-            )
+            key = self._cache.make_key(template, *keyed, self.horizon)
             hit = self._cache.get(key, prefix=is_prefix)
             if hit is not None:
                 # The wall clock spent on a cache hit is ~0; keep the
@@ -449,7 +446,6 @@ class TDaub(BaseEstimator):
                         train=train,
                         test=test,
                         horizon=int(self.horizon),
-                        scorer=self.scorer,
                     ),
                 )
             )
@@ -485,7 +481,7 @@ class TDaub(BaseEstimator):
                 results[index] = result
 
         scores: list[float] = []
-        for index, (name, _, train, _) in enumerate(jobs):
+        for index, (name, _, (train, _), _) in enumerate(jobs):
             result = results[index]
             evaluation = evaluations[name]
             if result.failed and index not in deadline_skips:
@@ -584,28 +580,29 @@ class TDaub(BaseEstimator):
             if warm is not None and rolling and n_test == int(warm.n_test)
             else None
         )
-        # Share the inputs once per fit: every allocation below derives a
-        # zero-copy slice of a read-only view or of a data-plane ref.
+        # Share the inputs once per fit.  Tasks carry zero-copy slices of
+        # the shared payload (read-only views, or data-plane refs); cache
+        # keys hash the same slices of the local views the payload resolves
+        # to.  Without a plane the payload is the view.
         if rolling:
             # Train prefixes and rolling test windows both slice the series.
-            T_all = share_payload(self._plane, T)
-            T1, T2 = T_all[:L], T_all[L:]
+            payload = (share_payload(self._plane, T),)
         else:
-            T1, T2 = share_payload(self._plane, T[:L]), share_payload(self._plane, T[L:])
+            payload = (share_payload(self._plane, T[:L]), share_payload(self._plane, T[L:]))
+        views = payload if self._plane is None else tuple(map(resolve_array, payload))
 
-        def _train(allocation: int):
-            # Rolling origin is inherently oldest-first: the train slice is
-            # the prefix the test window rolls away from.
+        def _cut(bases: tuple, allocation: int) -> tuple:
+            """The ``(train, test)`` slices of one allocation."""
             allocation = min(int(allocation), L)
-            if rolling or self.allocation_direction == "oldest_first":
-                return T1[:allocation]
-            return T1[L - allocation :]
-
-        def _test(allocation: int):
             if rolling:
-                allocation = min(int(allocation), L)
-                return T_all[allocation : allocation + n_test]
-            return T2
+                # Rolling origin is inherently oldest-first: the train slice
+                # is the prefix the test window rolls away from.
+                (series,) = bases
+                return series[:allocation], series[allocation : allocation + n_test]
+            T1, T2 = bases
+            if self.allocation_direction == "oldest_first":
+                return T1[:allocation], T2
+            return T1[L - allocation :], T2
 
         # Resolve allocation parameters.  A warm run anchors the grid to
         # the prior run's: allocations derived from the *new* length would
@@ -643,9 +640,9 @@ class TDaub(BaseEstimator):
         schedule = allocation_schedule(
             names, evaluations, L, self._grid, self.geo_increment_size, int(self.run_to_completion)
         )
-        # Each allocation's slices are built once per fit and shared by every
+        # Each allocation's slices are cut once per fit and shared by every
         # batch and cell that uses them, so the per-object digest memo
-        # fingerprints a by-value slice once per fit.
+        # hashes each keyed slice once per fit on every backend.
         slices: dict[int, tuple] = {}
         ran = None
         while True:
@@ -664,7 +661,8 @@ class TDaub(BaseEstimator):
             )
             for _, size in cells:
                 if size not in slices:
-                    slices[size] = (_train(size), _test(size))
+                    shipped = _cut(payload, size)
+                    slices[size] = (shipped, shipped if views is payload else _cut(views, size))
             scores = self._evaluate_batch(
                 [(name, templates[name], *slices[size]) for name, size in cells], evaluations
             )
@@ -703,10 +701,7 @@ class TDaub(BaseEstimator):
             template = templates[name]
             try:
                 best_pipeline = clone(template)
-                if hasattr(best_pipeline, "set_horizon"):
-                    best_pipeline.set_horizon(int(self.horizon))
-                elif hasattr(best_pipeline, "horizon"):
-                    best_pipeline.horizon = int(self.horizon)
+                _apply_horizon(best_pipeline, self.horizon)
                 best_pipeline.fit(T)
                 self.best_pipeline_name_ = name
                 break
@@ -735,7 +730,6 @@ class TDaub(BaseEstimator):
             cutoff=int(cutoff),
             ranked_names=list(ranked),
             points=points,
-            cost_curve=list(self._cost_curve),
             cost_projection=self.cost_projection_,
             cache=self._cache,
         )

@@ -37,19 +37,13 @@ from typing import Any, Hashable
 import numpy as np
 
 from ..store import StoreBackend, key_digest, open_store
-from .dataplane import (
-    ArrayRef,
-    FrameRef,
-    _frame_ref_fingerprint,
-    array_fingerprint,
-    resolve_array,
-)
+from .dataplane import array_fingerprint, resolve_payload
 
 __all__ = ["EvaluationCache", "CacheStats"]
 
-#: Kept under its historical private name: the fingerprint scheme moved to
-#: :mod:`repro.exec.dataplane` (the data plane memoizes it per slice ref)
-#: but suite manifests and tests import it from here.
+#: Kept under its historical private name for suite manifests and tests.
+#: The scheme lives in :mod:`repro.exec.dataplane`; the digest inside is
+#: memoized per array object by :func:`repro.store.digest.array_digest`.
 _array_fingerprint = array_fingerprint
 
 
@@ -93,31 +87,21 @@ class CacheStats:
         return self.disk_hits / total if total else 0.0
 
 
-def _slice_fingerprint(data: Any, plane: Any = None) -> tuple:
-    """Fingerprint a training/test input: array value or data-plane ref.
+def _slice_fingerprint(data: Any) -> tuple:
+    """Fingerprint a training/test input by its bytes alone.
 
-    An :class:`~repro.exec.dataplane.ArrayRef` resolves to the registered
-    slice and fingerprints to exactly what the by-value path produces for
-    the same bytes — so cache keys (and therefore warm persistent stores)
-    are identical whether data travelled by value or by reference.  The
-    plane memoizes per-slice fingerprints, saving one full-content hash
-    per additional pipeline evaluated on the same slice.
+    A data-plane ref resolves first, so it fingerprints exactly as the
+    array or frame it stands for: cache keys (and therefore warm
+    persistent stores) never depend on how the data travelled.  Callers
+    that key one slice many times pass the same local view each time, and
+    the per-object digest memo hashes it once.
 
     Columnar frames fingerprint **per column** (memoized inside the frame
-    object), and :class:`~repro.exec.dataplane.FrameRef` windows produce
-    the identical tuple from their registered digests — the same logical
-    content keys the same cache entry whether it arrived as an in-RAM
-    frame, a spilled frame or a per-column ref, and selecting 2 of 40
-    exogenous columns hashes 2 buffers, never the base.
+    object), so the same logical content keys the same cache entry whether
+    it is an in-RAM frame, a spilled frame or a per-column ref, and
+    selecting 2 of 40 exogenous columns hashes 2 buffers, never the base.
     """
-    if isinstance(data, ArrayRef):
-        if plane is not None:
-            return plane.fingerprint(data)
-        return array_fingerprint(np.asarray(resolve_array(data), dtype=float))
-    if isinstance(data, FrameRef):
-        if plane is not None:
-            return plane.fingerprint(data)
-        return _frame_ref_fingerprint(data)
+    data = resolve_payload(data)
     if getattr(data, "is_timeseries_frame", False):
         return data.fingerprint()
     return array_fingerprint(np.asarray(data, dtype=float))
@@ -126,7 +110,7 @@ def _slice_fingerprint(data: Any, plane: Any = None) -> tuple:
 def _instance_fingerprint(value: Any) -> Hashable:
     """Content fingerprint of a plain object: type plus attribute state.
 
-    Used for configured scorer objects (callable instances, bound-method
+    Used for callable hyper-parameters (callable instances, bound-method
     receivers) where the default ``repr`` would embed a memory address and
     silently defeat cross-run reuse.  Objects without a ``__dict__`` fall
     back to ``repr``.
@@ -161,12 +145,12 @@ def _value_fingerprint(value: Any) -> Hashable:
             _value_fingerprint(value.keywords),
         )
     if callable(value):
-        # Callables (custom scorers) are fingerprinted by where they are
+        # Callable hyper-parameters are fingerprinted by where they are
         # defined — module, qualified name and (for plain functions) the
         # source line, which keeps two lambdas in one expression distinct —
         # so the same function hits across processes and runs.  Bound
         # methods additionally fingerprint the instance they are bound to,
-        # keeping two configured scorer objects distinct.  Note the
+        # keeping two configured callable objects distinct.  Note the
         # *captured state* of a closure is NOT part of the fingerprint:
         # closures over mutable state are uncacheable and two closures over
         # different values of the same variable will collide.  Pass such
@@ -256,24 +240,23 @@ class EvaluationCache:
         train: np.ndarray,
         test: np.ndarray,
         horizon: int,
-        scorer: Any = None,
-        plane: Any = None,
     ) -> Hashable:
         """Build the cache key for one fit-and-score evaluation.
 
-        ``train``/``test`` may be arrays or data-plane
-        :class:`~repro.exec.dataplane.ArrayRef` slices; refs resolve to
-        the very fingerprints their array values would produce, so keys —
-        and warm persistent stores — are unchanged by the data plane.
-        Passing the owning ``plane`` lets repeated slices reuse memoized
-        fingerprints instead of re-hashing content per pipeline.
+        The key depends on the template's parameters, the bytes of
+        ``train``/``test`` and the horizon, never on transport: a data-plane
+        ref resolves first and keys as its array value does.  Keying the
+        same array object again reuses its memoized digest.
         """
         return (
             estimator_fingerprint(template),
-            _slice_fingerprint(train, plane),
-            _slice_fingerprint(test, plane),
+            _slice_fingerprint(train),
+            _slice_fingerprint(test),
             int(horizon),
-            _value_fingerprint(scorer) if scorer is not None else None,
+            # This slot held a custom scorer's fingerprint.  Scorers are
+            # gone, but dropping the slot would change every key_digest and
+            # make every store written before miss.
+            None,
         )
 
     # -- store operations ------------------------------------------------------

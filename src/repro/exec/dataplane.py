@@ -34,8 +34,10 @@ alone owns tracker registration and cleanup (see ``_attach_segment`` for
 the per-version details).
 
 Everything here is transport: resolving a ref yields an array whose
-content is byte-identical to what the by-value path would have shipped,
-so cache keys, rankings and manifests are unchanged.
+content is byte-identical to what the by-value path would have shipped.
+Cache keys come from those bytes alone: T-Daub keys each slice on the
+local view its ref resolves to, and a ref handed to the cache resolves
+first, so keys, rankings and manifests never depend on transport.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ def array_fingerprint(values: np.ndarray) -> tuple:
 
     Already-contiguous arrays are hashed through their buffer directly
     (zero copies); only non-contiguous views pay one compaction copy.
-    (This is the fingerprint :class:`repro.exec.cache.EvaluationCache`
-    keys slices on; it lives here so the plane can memoize it per ref.)
+    :class:`repro.exec.cache.EvaluationCache` keys array slices on it
+    after resolving any ref, so a slice keys the same whichever way it
+    travels; :func:`array_digest` memoizes the digest per array object.
     """
     values = np.asarray(values)
     return ("array", values.shape, values.dtype.str, array_digest(values))
@@ -126,10 +129,6 @@ class ArrayRef:
         return dataclasses.replace(
             self, start=self.start + start, stop=self.start + max(stop, start)
         )
-
-    def slice(self, start: int, stop: int) -> "ArrayRef":
-        """Explicit form of ``ref[start:stop]``."""
-        return self[start:stop]
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,6 @@ class FrameRef:
         return dataclasses.replace(
             self, start=self.start + start, stop=self.start + max(stop, start)
         )
-
-    def slice(self, start: int, stop: int) -> "FrameRef":
-        """Explicit form of ``ref[start:stop]``."""
-        return self[start:stop]
 
     def select(self, names) -> "FrameRef":
         """Column projection: keep only the named column refs."""
@@ -450,31 +445,6 @@ def resolve_frame(ref: FrameRef):
     return TimeSeriesFrame(columns)
 
 
-def _frame_ref_fingerprint(ref: FrameRef) -> tuple:
-    """Per-column content fingerprint of a :class:`FrameRef` window.
-
-    Matches ``TimeSeriesFrame.fingerprint()`` of the resolved frame
-    exactly (the cache-key invariant across representations).  A window
-    covering the whole base reuses the digests already embedded in the
-    column refs — no bytes are touched; only proper row windows hash
-    their sliced views.
-    """
-    entries = []
-    for column in ref.columns:
-        if ref.start == column.values.start and ref.stop == column.values.stop:
-            values_digest = column.values.digest
-        else:
-            base = resolve_array(column.values)
-            values_digest = array_digest(
-                base[ref.start - column.values.start : ref.stop - column.values.start]
-            )
-        digests = (values_digest,)
-        if column.dictionary is not None:
-            digests += (column.dictionary.digest,)
-        entries.append((column.name, column.dtype, column.encoding) + digests)
-    return ("frame", len(ref), tuple(entries))
-
-
 def resolve_payload(data: Any) -> Any:
     """Materialize any task payload: refs resolve, frames and arrays pass.
 
@@ -532,9 +502,9 @@ class DataPlane:
     a full-range :class:`ArrayRef`; tasks carry derived sub-refs and
     workers resolve them through :func:`resolve_array`.  Subclasses add
     the channel that reaches workers outside this process:
-    :class:`SharedMemoryPlane` and the remote backend's blob plane.  The
-    plane also memoizes per-slice content fingerprints, so a T-Daub round
-    hashing the same slice for N pipelines pays for one hash instead of N.
+    :class:`SharedMemoryPlane` and the remote backend's blob plane.  A
+    plane only moves bytes: cache keys hash the local views the refs
+    resolve to, never the refs.
 
     Planes are context managers; ``close`` releases every registration
     (refcounted — a digest shared with another live plane survives).
@@ -542,7 +512,6 @@ class DataPlane:
 
     def __init__(self):
         self._retained: list[str] = []
-        self._fingerprints: dict[tuple, tuple] = {}
         self._closed = False
 
     # -- registration ----------------------------------------------------------
@@ -627,34 +596,6 @@ class DataPlane:
             _release_base(digest)
         return frame
 
-    # -- resolution ------------------------------------------------------------
-    def resolve(self, data: Any) -> np.ndarray:
-        return resolve_payload(data)
-
-    def fingerprint(self, data: Any) -> tuple:
-        """Content fingerprint of a payload slice (memoized per ref).
-
-        Plain arrays hash directly; ``ArrayRef`` slices memoize per
-        ``(digest, start, stop)``; frames answer their own per-column
-        fingerprint; ``FrameRef`` windows memoize here, reusing the
-        registered base digests outright when the window covers the full
-        base (the common train-on-everything case hashes nothing).
-        """
-        if isinstance(data, FrameRef):
-            cached = self._fingerprints.get(data)
-            if cached is None:
-                cached = self._fingerprints[data] = _frame_ref_fingerprint(data)
-            return cached
-        if getattr(data, "is_timeseries_frame", False):
-            return data.fingerprint()
-        if not isinstance(data, ArrayRef):
-            return array_fingerprint(np.asarray(data, dtype=float))
-        key = (data.digest, data.start, data.stop)
-        cached = self._fingerprints.get(key)
-        if cached is None:
-            cached = self._fingerprints[key] = array_fingerprint(resolve_array(data))
-        return cached
-
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
         """Release every registration (idempotent)."""
@@ -664,7 +605,6 @@ class DataPlane:
         retained, self._retained = self._retained, []
         for digest in retained:
             _release_base(digest)
-        self._fingerprints.clear()
 
     def __enter__(self) -> "DataPlane":
         return self

@@ -60,7 +60,6 @@ class FitScoreTask:
     train: np.ndarray | ArrayRef | FrameRef
     test: np.ndarray | ArrayRef | FrameRef
     horizon: int
-    scorer: Callable[[Any, np.ndarray], float] | None = None
 
 
 @dataclass
@@ -101,10 +100,7 @@ def run_fit_score_task(task: FitScoreTask) -> FitScoreResult:
         candidate = clone(task.template)
         _apply_horizon(candidate, task.horizon)
         candidate.fit(train)
-        if task.scorer is not None:
-            score = float(task.scorer(candidate, test))
-        else:
-            score = float(candidate.score(test, horizon=len(test)))
+        score = float(candidate.score(test, horizon=len(test)))
         if not np.isfinite(score):
             raise ValueError(f"score is not finite: {score}")
         error = ""

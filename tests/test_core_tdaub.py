@@ -167,7 +167,9 @@ class TestTDaub:
         assert selector.best_pipeline_ is not None
         assert selector.predict(6).shape == (6, 1)
 
-    def test_each_slice_fingerprinted_once_per_fit(self):
+    @staticmethod
+    def _fingerprinted_fit(executor=None):
+        """Steps, ranking and digest-memo misses of one fit from a clean memo."""
         # Two acceleration steps and the scoring batch all use the
         # 2,400-row train slice; it must be one object for the whole fit so
         # the per-object digest memo hashes it once.
@@ -176,7 +178,7 @@ class TestTDaub:
         series = 50 + 0.01 * t + 5 * np.sin(2 * np.pi * t / 7) + rng.normal(0, 1, 3000)
         steps = []
         clear_digest_memo()
-        TDaub(
+        selector = TDaub(
             pipelines=[
                 ZeroModelForecaster(horizon=6),
                 DriftForecaster(horizon=6),
@@ -186,12 +188,24 @@ class TestTDaub:
             ],
             horizon=6,
             run_to_completion=2,
+            executor=executor,
             progress_callback=lambda event: steps.append((event["phase"], event["allocation"])),
         ).fit(series)
+        return steps, selector.ranked_names_, digest_memo_stats()["misses"]
+
+    def test_each_slice_fingerprinted_once_per_fit(self):
+        steps, _, misses = self._fingerprinted_fit()
         assert steps[-3:] == [("accelerate", 2400), ("accelerate", 2400), ("score", 2400)]
         # One miss per distinct slice the memo keeps (at least 4,096 bytes):
         # the 720, 960, 1,200 and 2,400-row train slices and the test slice.
-        assert digest_memo_stats()["misses"] == 5
+        assert misses == 5
+
+    def test_each_slice_fingerprinted_once_per_fit_by_ref(self, shared_memory_fork_executor):
+        steps, ranking, misses = self._fingerprinted_fit(shared_memory_fork_executor(n_jobs=2))
+        assert (steps, ranking) == self._fingerprinted_fit()[:2]
+        # Keys hash the local views the refs resolve to: the same five
+        # slices, plus the two bases the plane hashed to register them.
+        assert misses == 7
 
 
 def _drive(schedule, evaluations, scores, decline=()):

@@ -26,6 +26,7 @@ from repro.exec.remote import parse_worker_address
 from repro.forecasters.holtwinters import HoltWintersForecaster
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
 from repro.forecasters.theta import ThetaForecaster
+from repro.store import key_digest
 
 
 def _square(x):
@@ -421,6 +422,17 @@ class TestEvaluationCache:
         cache.put(cache.make_key(template, data[10:30], test, 4), "slice")
         copied = data[10:30].copy()
         assert cache.get(cache.make_key(template, copied, test, 4)) == "slice"
+
+    def test_key_address_is_pinned(self):
+        # Persistent stores file records under this address, so any change
+        # to the key's shape or content makes every existing store miss.
+        key = EvaluationCache().make_key(
+            DriftForecaster(horizon=6),
+            np.arange(20.0).reshape(-1, 1),
+            np.arange(6.0).reshape(-1, 1),
+            6,
+        )
+        assert key_digest(key) == "a3710b22bd0574e0b14dcc5c0bbe432f64a6dff5"
 
     def test_lru_eviction(self):
         cache = EvaluationCache(max_entries=2)

@@ -296,7 +296,6 @@ class TestFrameRefDataPlane:
                 _slice_fingerprint(frame),
                 _slice_fingerprint(spilled),
                 _slice_fingerprint(ref),
-                _slice_fingerprint(ref, plane),
             }
             assert len(prints) == 1
             windows = {
@@ -306,14 +305,6 @@ class TestFrameRefDataPlane:
             }
             assert len(windows) == 1
             assert windows != prints
-
-    def test_full_window_fingerprint_hashes_nothing(self):
-        frame = TimeSeriesFrame.from_columns(_table(4096))
-        with DataPlane() as plane:
-            ref = plane.register_frame(frame)
-            clear_digest_memo()
-            plane.fingerprint(ref)
-            assert digest_memo_stats()["misses"] == 0
 
     def test_shared_memory_plane_pins_per_column(self):
         frame = TimeSeriesFrame.from_columns(_table(4096))

@@ -18,6 +18,7 @@ from repro.exec.cache import EvaluationCache
 from repro.forecasters import (
     DriftForecaster,
     MeanForecaster,
+    SimpleExponentialSmoothing,
     ThetaForecaster,
     ZeroModelForecaster,
 )
@@ -197,7 +198,7 @@ class TestFrameAppendRows:
 
 class TestCacheStatTiers:
     def _make_key(self, cache, train, test):
-        return cache.make_key(ZeroModelForecaster(), train, test, 1, None)
+        return cache.make_key(ZeroModelForecaster(), train, test, 1)
 
     def test_memory_vs_disk_hits_are_split(self, tmp_path):
         train = np.arange(20.0).reshape(-1, 1)
@@ -343,6 +344,25 @@ class TestStreamingEngine:
         engine.append(series[290:])
         # the deployed model saw all 300 rows through update()
         assert engine._model_rows == 300
+
+    def test_non_finite_arrival_is_rejected_before_buffering(self):
+        series = np.sin(2 * np.pi * np.arange(220.0) / 12.0)
+        engine = StreamingEngine(
+            [
+                ZeroModelForecaster(horizon=4),
+                DriftForecaster(horizon=4),
+                SimpleExponentialSmoothing(horizon=4),
+            ],
+            horizon=4,
+        ).start(series[:200])
+        poisoned = series[200:210].copy()
+        poisoned[4] = np.inf
+        with pytest.raises(DataQualityError):
+            engine.append(poisoned)
+        assert len(engine.buffer) == 200
+        # the stream goes on: clean arrivals after the rejected one land
+        assert engine.append(series[200:210]).total_rows == 210
+        assert engine.append(series[210:220]).total_rows == 220
 
     def test_manual_rerank_without_drift(self):
         series = _smooth_series(280, seed=10)
