@@ -112,7 +112,7 @@ def _suite_child(conn, mode: str, store_root: str, n_rows: int, cap_bytes: int) 
     materialization_error = None
     if mode == "out_of_core":
         resource.setrlimit(resource.RLIMIT_DATA, (cap_bytes, cap_bytes))
-        spec = json.loads(backend.read_doc("frame_spec.json"))
+        spec = json.loads(backend.read_doc(str(Path(store_root) / "frame_spec.json")))
         dataset = load_frame(spec, backend)
     else:
         dataset = TimeSeriesFrame.from_columns(_table(n_rows))
@@ -185,7 +185,9 @@ def run(tiny: bool, work_root: Path) -> dict:
     backend = LocalFSBackend(store_root)
     frame = TimeSeriesFrame.from_columns(_table(n_rows))
     spilled = spill_frame(frame, backend)
-    backend.write_doc("frame_spec.json", json.dumps(spilled.spec))
+    # A document name is a path, so the spec goes under the store root, not
+    # into the directory the script was launched from.
+    backend.write_doc(str(store_root / "frame_spec.json"), json.dumps(spilled.spec))
     assert spilled.fingerprint() == frame.fingerprint()
 
     out_of_core = _run_child("out_of_core", str(store_root), n_rows, cap_bytes)

@@ -52,7 +52,6 @@ class WindowRegressorToolkit(BaseForecaster):
             regressor=RidgeRegression(alpha=1.0),
             lookback=int(self.window_size),
             horizon=int(self.horizon),
-            strategy="recursive",
         )
         self.model_.fit(X)
         self.n_series_ = X.shape[1]

@@ -43,6 +43,7 @@ from ..hybrid.auto_ensembler import (
 from ..hybrid.mt2r import MT2RForecaster
 from ..hybrid.window_regressor import WindowRandomForestForecaster, WindowSVRForecaster
 from ..transforms.stateless import LogTransform
+from .base import BaseForecaster
 from .pipeline import ForecastingPipeline
 
 __all__ = [
@@ -51,143 +52,65 @@ __all__ = [
     "PAPER_PIPELINE_NAMES",
 ]
 
-#: The ten pipeline names of the paper, in the order of Table 6.
-PAPER_PIPELINE_NAMES = (
-    "FlattenAutoEnsembler, log",
-    "WindowRandomForest",
-    "WindowSVR",
-    "MT2RForecaster",
-    "bats",
-    "DifferenceFlattenAutoEnsembler, log",
-    "LocalizedFlattenAutoEnsembler",
-    "Arima",
-    "HW_Additive",
-    "HW_Multiplicative",
-)
-
 PipelineFactory = Callable[[int, int, bool], ForecastingPipeline]
 
 
-def _maybe_log_steps(use_log: bool, allow_log: bool):
-    return [("log", LogTransform())] if use_log and allow_log else []
+def _pipeline_factory(
+    name: str, use_log: bool, make_forecaster: Callable[..., BaseForecaster]
+) -> PipelineFactory:
+    """Factory ``(lookback, horizon, allow_log)`` of one named pipeline.
 
-
-def _build_default_factories() -> Dict[str, PipelineFactory]:
-    """Factories keyed by pipeline name.
-
-    Every factory has the signature ``(lookback, horizon, allow_log)`` and
-    returns a fresh, unfitted :class:`ForecastingPipeline`.
+    It returns a fresh, unfitted :class:`ForecastingPipeline`: a log step
+    when ``use_log`` and ``allow_log`` both hold, then the forecaster
+    ``make_forecaster(lookback=..., horizon=...)`` builds.
     """
 
-    def flatten_auto_ensembler(lookback: int, horizon: int, allow_log: bool):
+    def factory(lookback: int, horizon: int, allow_log: bool) -> ForecastingPipeline:
         return ForecastingPipeline(
-            steps=_maybe_log_steps(True, allow_log),
-            forecaster=FlattenAutoEnsembler(lookback=lookback, horizon=horizon),
-            name_override="FlattenAutoEnsembler, log",
+            steps=[("log", LogTransform())] if use_log and allow_log else [],
+            forecaster=make_forecaster(lookback=lookback, horizon=horizon),
+            name_override=name,
         )
 
-    def difference_flatten_auto_ensembler(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=_maybe_log_steps(True, allow_log),
-            forecaster=DifferenceFlattenAutoEnsembler(lookback=lookback, horizon=horizon),
-            name_override="DifferenceFlattenAutoEnsembler, log",
-        )
-
-    def localized_flatten_auto_ensembler(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=LocalizedFlattenAutoEnsembler(lookback=lookback, horizon=horizon),
-            name_override="LocalizedFlattenAutoEnsembler",
-        )
-
-    def window_random_forest(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=WindowRandomForestForecaster(lookback=lookback, horizon=horizon),
-            name_override="WindowRandomForest",
-        )
-
-    def window_svr(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=WindowSVRForecaster(lookback=lookback, horizon=horizon),
-            name_override="WindowSVR",
-        )
-
-    def mt2r(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=MT2RForecaster(residual_lags=max(2, min(lookback, 8)), horizon=horizon),
-            name_override="MT2RForecaster",
-        )
-
-    def bats(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=BATSForecaster(horizon=horizon),
-            name_override="bats",
-        )
-
-    def arima(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=AutoARIMAForecaster(horizon=horizon),
-            name_override="Arima",
-        )
-
-    def hw_additive(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=HoltWintersForecaster(seasonal="additive", horizon=horizon),
-            name_override="HW_Additive",
-        )
-
-    def hw_multiplicative(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=HoltWintersForecaster(seasonal="multiplicative", horizon=horizon),
-            name_override="HW_Multiplicative",
-        )
-
-    return {
-        "FlattenAutoEnsembler, log": flatten_auto_ensembler,
-        "WindowRandomForest": window_random_forest,
-        "WindowSVR": window_svr,
-        "MT2RForecaster": mt2r,
-        "bats": bats,
-        "DifferenceFlattenAutoEnsembler, log": difference_flatten_auto_ensembler,
-        "LocalizedFlattenAutoEnsembler": localized_flatten_auto_ensembler,
-        "Arima": arima,
-        "HW_Additive": hw_additive,
-        "HW_Multiplicative": hw_multiplicative,
-    }
+    return factory
 
 
-def _build_optional_factories() -> Dict[str, PipelineFactory]:
-    """Extra (non-default) pipelines: deep learning and Theta candidates."""
+def _mt2r(lookback: int, horizon: int) -> MT2RForecaster:
+    return MT2RForecaster(residual_lags=max(2, min(lookback, 8)), horizon=horizon)
 
-    def mlp(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=MLPForecaster(lookback=max(lookback, 4), horizon=horizon),
-            name_override="MLPForecaster",
-        )
 
-    def nbeats(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=NBeatsLikeForecaster(lookback=max(lookback, 4), horizon=horizon),
-            name_override="NBeatsLike",
-        )
+#: ``(name, use_log, make_forecaster)`` of the ten paper pipelines, in the
+#: order of Table 6.
+_DEFAULT_PIPELINES = (
+    ("FlattenAutoEnsembler, log", True, FlattenAutoEnsembler),
+    ("WindowRandomForest", False, WindowRandomForestForecaster),
+    ("WindowSVR", False, WindowSVRForecaster),
+    ("MT2RForecaster", False, _mt2r),
+    ("bats", False, lambda lookback, horizon: BATSForecaster(horizon=horizon)),
+    ("DifferenceFlattenAutoEnsembler, log", True, DifferenceFlattenAutoEnsembler),
+    ("LocalizedFlattenAutoEnsembler", False, LocalizedFlattenAutoEnsembler),
+    ("Arima", False, lambda lookback, horizon: AutoARIMAForecaster(horizon=horizon)),
+    ("HW_Additive", False,
+     lambda lookback, horizon: HoltWintersForecaster(seasonal="additive", horizon=horizon)),
+    ("HW_Multiplicative", False,
+     lambda lookback, horizon: HoltWintersForecaster(seasonal="multiplicative", horizon=horizon)),
+)
 
-    def theta(lookback: int, horizon: int, allow_log: bool):
-        return ForecastingPipeline(
-            steps=[],
-            forecaster=ThetaForecaster(horizon=horizon),
-            name_override="Theta",
-        )
+#: The ten pipeline names of the paper, in the order of Table 6.
+PAPER_PIPELINE_NAMES = tuple(name for name, _, _ in _DEFAULT_PIPELINES)
 
-    return {"MLPForecaster": mlp, "NBeatsLike": nbeats, "Theta": theta}
+#: Extra (non-default) pipelines: deep learning and Theta candidates.
+_OPTIONAL_PIPELINES = (
+    ("MLPForecaster", False,
+     lambda lookback, horizon: MLPForecaster(lookback=max(lookback, 4), horizon=horizon)),
+    ("NBeatsLike", False,
+     lambda lookback, horizon: NBeatsLikeForecaster(lookback=max(lookback, 4), horizon=horizon)),
+    ("Theta", False, lambda lookback, horizon: ThetaForecaster(horizon=horizon)),
+)
+
+
+def _factories(table) -> Dict[str, PipelineFactory]:
+    return {name: _pipeline_factory(name, use_log, make) for name, use_log, make in table}
 
 
 class PipelineRegistry:
@@ -199,8 +122,8 @@ class PipelineRegistry:
     """
 
     def __init__(self, include_optional: bool = False):
-        self._factories: Dict[str, PipelineFactory] = dict(_build_default_factories())
-        self._optional: Dict[str, PipelineFactory] = dict(_build_optional_factories())
+        self._factories: Dict[str, PipelineFactory] = _factories(_DEFAULT_PIPELINES)
+        self._optional: Dict[str, PipelineFactory] = _factories(_OPTIONAL_PIPELINES)
         if include_optional:
             self._factories.update(self._optional)
 

@@ -1,17 +1,20 @@
-"""AutoEnsembler pipelines over flattened look-back windows.
+"""AutoEnsembler pipelines: a weighted regressor pool over look-back windows.
 
 Three of the paper's ten pipelines are ensembles over flattened look-back
 windows (figure 14/15): ``FlattenAutoEnsembler (log)``,
 ``DifferenceFlattenAutoEnsembler (log)`` and
-``LocalizedFlattenAutoEnsembler``.  Each one
+``LocalizedFlattenAutoEnsembler``.  Each is a
+:class:`~repro.hybrid.window_regressor.WindowRegressor` whose per-series
+regressor is one ensemble:
 
-1. optionally applies a stateless log transform (handled by the surrounding
-   :class:`~repro.core.pipeline.ForecastingPipeline`),
-2. builds its flatten variant inline (plain, differenced, or localized
-   windows),
-3. fits a small pool of heterogeneous regressors on the windowed problem,
-4. scores the pool on the most recent validation tail, and
-5. forecasts with a performance-weighted combination of the pool members
+1. the optional log transform belongs to the surrounding
+   :class:`~repro.core.pipeline.ForecastingPipeline`;
+2. the flatten variant picks the windows: raw, cut from first differences
+   (forecasts are integrated from the last observed row), or localized
+   (each window relative to its last row);
+3. each pool member is fit on every window but a validation tail, scored
+   by its mean absolute error there, and refit on every window;
+4. the forecast combines the members with normalised inverse-error weights
    (the "auto" part: the ensemble composition adapts to the data set).
 """
 
@@ -19,12 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_2d_array, check_horizon, check_positive_int
-from ..core.base import BaseForecaster, BaseRegressor, check_is_fitted, clone
+from .._validation import as_2d_array
+from ..core.base import BaseRegressor, clone
 from ..ml.boosting import GradientBoostingRegressor
 from ..ml.forest import RandomForestRegressor
 from ..ml.linear import RidgeRegression
-from ..transforms.window import make_supervised_windows
+from .window_regressor import WindowRegressor
 
 __all__ = [
     "FlattenAutoEnsembler",
@@ -42,11 +45,55 @@ def _default_pool() -> list[BaseRegressor]:
     ]
 
 
-class FlattenAutoEnsembler(BaseForecaster):
-    """Ensemble of regressors over flattened (raw) look-back windows."""
+class _InverseErrorEnsemble(BaseRegressor):
+    """A regressor pool weighted by each member's error on a validation tail.
 
-    #: how the window features are expressed; overridden by subclasses.
-    _mode = "flatten"
+    ``fit`` takes each pool member in turn: it fits a clone on every row but
+    the last ``validation_fraction``, scores its mean absolute error on
+    those rows, then fits a fresh clone on every row.  The weights are the
+    normalised inverse errors; ``predict`` sums the weighted member
+    predictions in pool order.
+    """
+
+    def __init__(
+        self, regressors: list[BaseRegressor] | None = None, validation_fraction: float = 0.2
+    ):
+        self.regressors = regressors
+        self.validation_fraction = validation_fraction
+
+    def fit(self, X, y) -> "_InverseErrorEnsemble":
+        n_rows = len(X)
+        n_validation = max(1, int(round(self.validation_fraction * n_rows)))
+        n_validation = min(n_validation, n_rows - 1) if n_rows > 1 else 0
+        n_train = n_rows - n_validation
+        pool = self.regressors if self.regressors is not None else _default_pool()
+        self.members_: list[BaseRegressor] = []
+        errors: list[float] = []
+        for template in pool:
+            model = clone(template).fit(X[:n_train], y[:n_train])
+            if n_validation:
+                predictions = np.asarray(model.predict(X[n_train:]), dtype=float).ravel()
+                residuals = predictions - np.asarray(y[n_train:]).ravel()
+                errors.append(float(np.mean(np.abs(residuals))))
+            else:
+                errors.append(1.0)
+            # Refit on all windows so the deployed member uses every sample.
+            self.members_.append(clone(template).fit(X, y))
+        # Inverse-error weights; guard against all-zero errors.
+        with np.errstate(divide="ignore"):
+            weights = 1.0 / np.clip(np.asarray(errors, dtype=float), 1e-12, None)
+        self.weights_ = weights / weights.sum()
+        return self
+
+    def predict(self, X) -> np.ndarray:
+        combined = 0.0
+        for weight, model in zip(self.weights_, self.members_):
+            combined = combined + weight * np.asarray(model.predict(X), dtype=float).ravel()
+        return combined
+
+
+class FlattenAutoEnsembler(WindowRegressor):
+    """Ensemble of regressors over flattened (raw) look-back windows."""
 
     def __init__(
         self,
@@ -60,118 +107,10 @@ class FlattenAutoEnsembler(BaseForecaster):
         self.regressors = regressors
         self.validation_fraction = validation_fraction
 
-    # -- feature construction ------------------------------------------------
-    def _prepare_series(self, X: np.ndarray) -> np.ndarray:
-        """Series the windows are built from (differenced for the Difference variant)."""
-        if self._mode == "difference":
-            return np.diff(X, axis=0)
-        return X
-
-    def _build_training_set(
-        self, series: np.ndarray, lookback: int, column: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        features, targets = make_supervised_windows(
-            series, lookback, 1, target_column=column
-        )
-        if self._mode == "localized":
-            n_windows = features.shape[0]
-            windows = features.reshape(n_windows, lookback, series.shape[1])
-            anchors = windows[:, -1, column]
-            windows = windows - windows[:, -1:, :]
-            features = windows.reshape(n_windows, lookback * series.shape[1])
-            targets = targets - anchors
-            return features, targets, anchors
-        return features, targets, np.zeros(features.shape[0])
-
-    # -- fitting ----------------------------------------------------------------
-    def fit(self, X, y=None) -> "FlattenAutoEnsembler":
-        X = as_2d_array(X)
-        check_horizon(self.horizon)
-        lookback = check_positive_int(self.lookback, "lookback")
-
-        prepared = self._prepare_series(X)
-        max_lookback = max(1, len(prepared) - 4)
-        lookback = min(lookback, max_lookback)
-
-        pool_template = self.regressors if self.regressors is not None else _default_pool()
-
-        self.column_models_: list[list[BaseRegressor]] = []
-        self.column_weights_: list[np.ndarray] = []
-        for column in range(X.shape[1]):
-            features, targets, _ = self._build_training_set(prepared, lookback, column)
-            n_windows = len(features)
-            n_validation = max(1, int(round(self.validation_fraction * n_windows)))
-            n_validation = min(n_validation, n_windows - 1) if n_windows > 1 else 0
-
-            models: list[BaseRegressor] = []
-            errors: list[float] = []
-            for template in pool_template:
-                model = clone(template)
-                if n_validation:
-                    model.fit(features[:-n_validation], targets[:-n_validation])
-                    predictions = np.asarray(
-                        model.predict(features[-n_validation:]), dtype=float
-                    ).ravel()
-                    error = float(
-                        np.mean(np.abs(predictions - np.asarray(targets[-n_validation:]).ravel()))
-                    )
-                else:
-                    model.fit(features, targets)
-                    error = 1.0
-                # Refit on all windows so the deployed member uses every sample.
-                model = clone(template)
-                model.fit(features, targets)
-                models.append(model)
-                errors.append(error)
-
-            errors_array = np.asarray(errors, dtype=float)
-            # Inverse-error weights; guard against all-zero errors.
-            with np.errstate(divide="ignore"):
-                weights = 1.0 / np.clip(errors_array, 1e-12, None)
-            weights = weights / weights.sum()
-            self.column_models_.append(models)
-            self.column_weights_.append(weights)
-
-        self._lookback_used = lookback
-        self._n_series = X.shape[1]
-        self._last_original = X[-1].copy()
-        self._last_window_prepared = prepared[-lookback:].copy()
-        return self
-
-    # -- forecasting -----------------------------------------------------------
-    def _predict_one_step(self, window: np.ndarray) -> np.ndarray:
-        """One-step-ahead prediction for every series from a prepared window."""
-        step = np.empty(self._n_series)
-        for column in range(self._n_series):
-            if self._mode == "localized":
-                features = (window - window[-1:]).reshape(1, -1)
-                anchor = window[-1, column]
-            else:
-                features = window.reshape(1, -1)
-                anchor = 0.0
-            members = self.column_models_[column]
-            weights = self.column_weights_[column]
-            combined = 0.0
-            for weight, model in zip(weights, members):
-                prediction = np.asarray(model.predict(features), dtype=float).ravel()[0]
-                combined += weight * prediction
-            step[column] = combined + anchor
-        return step
-
-    def predict(self, horizon: int | None = None) -> np.ndarray:
-        check_is_fitted(self, ("column_models_",))
-        horizon = check_horizon(horizon if horizon is not None else self.horizon)
-
-        window = self._last_window_prepared.copy()
-        prepared_forecasts = np.empty((horizon, self._n_series))
-        for step in range(horizon):
-            prepared_forecasts[step] = self._predict_one_step(window)
-            window = np.vstack([window[1:], prepared_forecasts[step]])
-
-        if self._mode == "difference":
-            # Integrate the differenced forecasts from the last observed level.
-            return np.cumsum(prepared_forecasts, axis=0) + self._last_original
-        return prepared_forecasts
+    @property
+    def regressor(self) -> BaseRegressor:
+        """The ensemble each series' clone fits."""
+        return _InverseErrorEnsemble(self.regressors, self.validation_fraction)
 
     @property
     def name(self) -> str:
@@ -181,7 +120,15 @@ class FlattenAutoEnsembler(BaseForecaster):
 class DifferenceFlattenAutoEnsembler(FlattenAutoEnsembler):
     """AutoEnsembler over windows of first differences (integrated forecasts)."""
 
-    _mode = "difference"
+    def _prepare(self, X):
+        """First differences; the last observed row is kept for ``_restore``."""
+        X = as_2d_array(X)
+        self._last_row = X[-1].copy()
+        return np.diff(X, axis=0)
+
+    def _restore(self, forecasts: np.ndarray) -> np.ndarray:
+        # Integrate the differenced forecasts from the last observed level.
+        return np.cumsum(forecasts, axis=0) + self._last_row
 
     @property
     def name(self) -> str:
@@ -191,7 +138,7 @@ class DifferenceFlattenAutoEnsembler(FlattenAutoEnsembler):
 class LocalizedFlattenAutoEnsembler(FlattenAutoEnsembler):
     """AutoEnsembler over level-anchored (localized) windows."""
 
-    _mode = "localized"
+    _localized = True
 
     @property
     def name(self) -> str:

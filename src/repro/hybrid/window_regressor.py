@@ -1,15 +1,18 @@
-"""Window-based ML forecasters.
+"""Window regression: the one engine behind the paper's window pipelines.
 
 "Generally, ML based approaches perform transformations on time series data
 and then model time series forecasting problem as an IID problem" (paper
 section 3).  :class:`WindowRegressor` frames the series into look-back
-windows, fits any :class:`~repro.core.base.BaseRegressor` on them and
-forecasts either directly (multi-output regression over the horizon) or
-recursively (one step at a time, feeding predictions back into the window).
+windows once per fit, trains one clone of any
+:class:`~repro.core.base.BaseRegressor` per series on the one-step-ahead
+targets, and forecasts recursively: each step's predictions are fed back
+into the window.
 
-``WindowRandomForest`` and ``WindowSVR`` — two of the ten pipelines in the
-paper's inventory (figure 14/15) — are thin subclasses with the matching
-default regressor.
+Five of the paper's ten pipelines (figure 14/15) run on it:
+``WindowRandomForest`` and ``WindowSVR`` below, and the three AutoEnsemblers
+of :mod:`repro.hybrid.auto_ensembler`.  Those vary the series the windows
+are cut from (``_prepare`` and ``_restore``) or localize each window
+(``_localized``), and plug in one ensemble regressor.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from ..transforms.window import make_supervised_windows
 
 __all__ = ["WindowRegressor", "WindowRandomForestForecaster", "WindowSVRForecaster"]
 
-_STRATEGIES = ("recursive", "direct")
-
 
 class WindowRegressor(BaseForecaster):
     """Forecaster that wraps an IID regressor behind a look-back window.
@@ -35,51 +36,70 @@ class WindowRegressor(BaseForecaster):
     ----------
     regressor:
         Any estimator with ``fit(X, y)`` / ``predict(X)``.  One clone is
-        trained per output series (and per horizon step under the direct
-        strategy when the regressor does not support multi-output targets).
+        trained per output series.
     lookback:
         Look-back window length.  The AutoAI-TS orchestrator sets this from
         the automatic look-back discovery; the default of 8 matches the
         paper's fallback value.
-    strategy:
-        ``"recursive"`` feeds one-step predictions back into the window;
-        ``"direct"`` trains a multi-output model mapping a window to the full
-        horizon at once.
+    horizon:
+        Default number of steps ``predict`` forecasts.
     """
+
+    #: When True, each window is shifted by its last row before the
+    #: regressor sees it, targets are fit relative to that row, and the row
+    #: is added back to each forecast.
+    _localized = False
 
     def __init__(
         self,
         regressor: BaseRegressor | None = None,
         lookback: int = 8,
         horizon: int = 1,
-        strategy: str = "recursive",
     ):
         self.regressor = regressor
         self.lookback = lookback
         self.horizon = horizon
-        self.strategy = strategy
 
-    def _effective_lookback(self, n_samples: int, horizon: int) -> int:
+    def _prepare(self, X):
+        """The series the windows are cut from: the input itself here."""
+        return X
+
+    def _restore(self, forecasts: np.ndarray) -> np.ndarray:
+        """Map forecasts of the prepared series back to the input's scale."""
+        return forecasts
+
+    def _effective_lookback(self, n_samples: int) -> int:
         lookback = check_positive_int(self.lookback, "lookback")
         # Leave room for at least a handful of training windows.
-        budget = n_samples - horizon - 3
-        return int(max(1, min(lookback, max(budget, 1))))
+        return int(max(1, min(lookback, n_samples - 4)))
+
+    def _fit_windows(self, features: np.ndarray, targets, lookback: int, partial: bool) -> None:
+        """Fit (or ``partial_fit``) each series' model on its target column.
+
+        Every model sees the same window matrix, localized here when the
+        class asks for it.
+        """
+        n_windows = len(features)
+        targets = np.asarray(targets).reshape(n_windows, self._n_series)
+        if self._localized:
+            windows = features.reshape(n_windows, lookback, self._n_series)
+            targets = targets - windows[:, -1, :]
+            features = (windows - windows[:, -1:, :]).reshape(n_windows, -1)
+        for column, model in enumerate(self.models_):
+            fit = model.partial_fit if partial else model.fit
+            fit(features, np.ascontiguousarray(targets[:, column]))
 
     def fit(self, X, y=None) -> "WindowRegressor":
-        if self.strategy not in _STRATEGIES:
-            raise InvalidParameterError(
-                f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}."
-            )
-        frame_input = getattr(X, "is_timeseries_frame", False)
-        if not frame_input:
+        if not getattr(X, "is_timeseries_frame", False):
             X = as_2d_array(X)
-        n_samples, n_series = X.shape
-        horizon = check_horizon(self.horizon)
-        lookback = self._effective_lookback(n_samples, horizon if self.strategy == "direct" else 1)
+        check_horizon(self.horizon)
+        series = self._prepare(X)
+        frame_input = getattr(series, "is_timeseries_frame", False)
+        n_samples, self._n_series = series.shape
+        lookback = self._effective_lookback(n_samples)
 
         base = self.regressor if self.regressor is not None else RandomForestRegressor()
-        self.models_: list[BaseRegressor] = []
-        target_horizon = horizon if self.strategy == "direct" else 1
+        self.models_: list[BaseRegressor] = [clone(base) for _ in range(self._n_series)]
 
         if frame_input and hasattr(base, "partial_fit"):
             # Out-of-core path: the framer streams supervised-window
@@ -90,49 +110,25 @@ class WindowRegressor(BaseForecaster):
             # on the same frame) converge on the same model.
             from ..frame.framer import ChunkedWindowFramer
 
-            framer = ChunkedWindowFramer(X, lookback, target_horizon)
-            self.models_ = [clone(base) for _ in range(n_series)]
-            for features, block_targets in framer.blocks():
-                block_targets = np.asarray(block_targets).reshape(
-                    len(features), target_horizon, n_series
-                )
-                for column, model in enumerate(self.models_):
-                    targets = np.ascontiguousarray(block_targets[:, :, column])
-                    if target_horizon == 1:
-                        targets = targets.ravel()
-                    model.partial_fit(features, targets)
+            for features, targets in ChunkedWindowFramer(series, lookback, 1).blocks():
+                self._fit_windows(features, targets, lookback, partial=True)
         else:
             # The lag matrix is identical for every output series, so it is
             # framed once (a vectorized sliding_window_view inside; frames
             # delegate to the streaming framer) with the all-series
-            # targets; each per-column model then trains on its own slice
+            # targets; each per-column model then trains on its own column
             # of the target block instead of re-framing the series.
-            features, all_targets = make_supervised_windows(X, lookback, target_horizon)
-            all_targets = np.asarray(all_targets).reshape(
-                len(features), target_horizon, n_series
-            )
-            for column in range(n_series):
-                targets = np.ascontiguousarray(all_targets[:, :, column])
-                if target_horizon == 1:
-                    targets = targets.ravel()
-                model = clone(base)
-                model.fit(features, targets)
-                self.models_.append(model)
+            features, targets = make_supervised_windows(series, lookback, 1)
+            self._fit_windows(features, targets, lookback, partial=False)
 
         self._lookback_used = lookback
-        self._n_series = n_series
-        # Context for update(): the trailing rows that participate in
-        # windows overlapping future arrivals.  With exactly
-        # ``lookback + target_horizon - 1`` retained rows, appending Δ new
-        # rows frames to exactly the Δ supervised windows a cold refit
-        # would add — no window is ever partial_fit twice.
-        context = min(n_samples, lookback + target_horizon - 1)
+        # The window the first forecast starts from.  With one-step targets
+        # it is also all the context update() needs: appending Δ rows to it
+        # frames exactly the Δ windows a cold refit would add.
         if frame_input:
-            self._tail_rows_ = X.gather(n_samples - context, n_samples)
-            self._last_window = X.gather(n_samples - lookback, n_samples)
+            self._last_window = series.gather(n_samples - lookback, n_samples)
         else:
-            self._tail_rows_ = X[-context:].copy() if context else X[:0].copy()
-            self._last_window = X[-lookback:].copy()
+            self._last_window = series[-lookback:].copy()
         return self
 
     @property
@@ -149,7 +145,7 @@ class WindowRegressor(BaseForecaster):
         """Fold the Δ new supervised windows into each per-column model.
 
         Only the windows that end inside ``X_new`` are framed (from the
-        retained tail context plus the new rows) and passed to
+        retained last window plus the new rows) and passed to
         ``partial_fit`` — O(Δ · lookback) work.  Parity with a cold refit
         is the regressor's own partial-fit contract: for
         :class:`~repro.ml.linear.StreamingRidge` the accumulated moments
@@ -166,59 +162,29 @@ class WindowRegressor(BaseForecaster):
                 f"update block has {X_new.shape[1]} series, the fitted model "
                 f"has {self._n_series}."
             )
-        target_horizon = int(self.horizon) if self.strategy == "direct" else 1
         lookback = self._lookback_used
-        rows = np.vstack([np.asarray(self._tail_rows_, dtype=float), X_new])
-        n_windows = len(rows) - lookback - target_horizon + 1
-        if n_windows > 0:
-            features, all_targets = make_supervised_windows(rows, lookback, target_horizon)
-            all_targets = np.asarray(all_targets).reshape(
-                len(features), target_horizon, self._n_series
-            )
-            for column, model in enumerate(self.models_):
-                targets = np.ascontiguousarray(all_targets[:, :, column])
-                if target_horizon == 1:
-                    targets = targets.ravel()
-                model.partial_fit(features, targets)
-        context = lookback + target_horizon - 1
-        self._tail_rows_ = rows[-context:].copy() if context else rows[:0].copy()
+        rows = np.vstack([np.asarray(self._last_window, dtype=float), X_new])
+        features, targets = make_supervised_windows(rows, lookback, 1)
+        self._fit_windows(features, targets, lookback, partial=True)
         self._last_window = rows[-lookback:].copy()
         return self
-
-    def _predict_recursive(self, horizon: int) -> np.ndarray:
-        window = self._last_window.copy()
-        forecasts = np.empty((horizon, self._n_series))
-        for step in range(horizon):
-            features = window.reshape(1, -1)
-            for column, model in enumerate(self.models_):
-                prediction = np.asarray(model.predict(features), dtype=float).ravel()
-                forecasts[step, column] = prediction[0]
-            window = np.vstack([window[1:], forecasts[step]])
-        return forecasts
-
-    def _predict_direct(self, horizon: int) -> np.ndarray:
-        features = self._last_window.reshape(1, -1)
-        trained_horizon = int(self.horizon)
-        blocks: list[np.ndarray] = []
-        window = self._last_window.copy()
-        produced = 0
-        while produced < horizon:
-            features = window.reshape(1, -1)
-            block = np.empty((trained_horizon, self._n_series))
-            for column, model in enumerate(self.models_):
-                prediction = np.asarray(model.predict(features), dtype=float).ravel()
-                block[:, column] = prediction[:trained_horizon]
-            blocks.append(block)
-            produced += trained_horizon
-            window = np.vstack([window, block])[-self._lookback_used :]
-        return np.vstack(blocks)[:horizon]
 
     def predict(self, horizon: int | None = None) -> np.ndarray:
         check_is_fitted(self, ("models_",))
         horizon = check_horizon(horizon if horizon is not None else self.horizon)
-        if self.strategy == "direct":
-            return self._predict_direct(horizon)
-        return self._predict_recursive(horizon)
+        window = self._last_window.copy()
+        forecasts = np.empty((horizon, self._n_series))
+        for step in range(horizon):
+            anchor = window[-1]
+            features = (window - anchor if self._localized else window).reshape(1, -1)
+            for column, model in enumerate(self.models_):
+                prediction = np.asarray(model.predict(features), dtype=float).ravel()
+                forecasts[step, column] = prediction[0]
+            if self._localized:
+                # Only here: adding a 0.0 anchor would turn a -0.0 into 0.0.
+                forecasts[step] += anchor
+            window = np.vstack([window[1:], forecasts[step]])
+        return self._restore(forecasts)
 
     @property
     def name(self) -> str:
@@ -246,7 +212,6 @@ class WindowRandomForestForecaster(WindowRegressor):
             ),
             lookback=lookback,
             horizon=horizon,
-            strategy="recursive",
         )
 
     @classmethod
@@ -276,7 +241,6 @@ class WindowSVRForecaster(WindowRegressor):
             regressor=SVR(kernel=kernel, C=C, epsilon=epsilon),
             lookback=lookback,
             horizon=horizon,
-            strategy="recursive",
         )
 
     @classmethod

@@ -158,17 +158,14 @@ class StreamingEngine:
         Residuals are computed *before* the model sees the new rows (the
         honest one-step-ahead error a deployed forecaster would have
         made), then the winner absorbs them via ``update`` and the
-        watcher decides whether the residual regime drifted.  Rows holding
-        NaN or ±inf raise :class:`~repro.exceptions.DataQualityError`
-        before the watcher, the buffer or the winner sees them.
+        watcher decides whether the residual regime drifted.  ``rows``
+        must be non-empty and finite: an empty block, or rows holding NaN
+        or ±inf, raise :class:`~repro.exceptions.DataQualityError` before
+        the watcher, the buffer or the winner sees them.
         """
         buffer = self.buffer
         rows = as_2d_array(rows, name="rows", allow_nan=False)
         report = ArrivalReport(n_new=len(rows), total_rows=len(buffer) + len(rows))
-        if len(rows) == 0:
-            report.ranking = self.ranking_
-            report.winner = self.winner_name_
-            return report
 
         drift: DriftReport | None = None
         if self._model is not None:

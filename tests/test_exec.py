@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.benchmarking import BenchmarkRunner, render_detail_table
-from repro.core import TDaub
+from repro.core import PipelineRegistry, TDaub
 from repro.exceptions import InvalidParameterError
 from repro.exec import (
     Deadline,
@@ -380,6 +380,22 @@ class TestRemoteExecutor:
         }
 
 
+#: ``key_digest`` of each inventory pipeline's key on ``np.arange(20.0)``
+#: with test ``np.arange(6.0)`` and horizon 6.
+INVENTORY_KEY_DIGESTS = {
+    "FlattenAutoEnsembler, log": "9259f79eb97312c2946bfc878ce72c8187c44dfb",
+    "WindowRandomForest": "d227999491174e365e13cc20cb5061a1b6e6ceb0",
+    "WindowSVR": "e8e1cded9bc37fc3c7a98b0c9b149c9639ef5b24",
+    "MT2RForecaster": "da31b558739d7117ce1c4b58ce11be90a31747a9",
+    "bats": "04faedc3a8b7bbe9f1ba1fd2b39283c2da965359",
+    "DifferenceFlattenAutoEnsembler, log": "eec4913e628d7e5909f9c3576e8b61a3bf2def4e",
+    "LocalizedFlattenAutoEnsembler": "507ab8c24dde500164a69d7bbfba8af0bebad6ba",
+    "Arima": "fe962c960f1a8c3731aa17d0bc16774551803feb",
+    "HW_Additive": "4be1e06c6ed6676f207566b9d2113aae798f8562",
+    "HW_Multiplicative": "595d54c18a8367303ebdabc50f4cb3508011922d",
+}
+
+
 class TestEvaluationCache:
     def _key(self, cache, horizon=6, scale=1.0, n=20):
         template = DriftForecaster(horizon=horizon)
@@ -423,16 +439,27 @@ class TestEvaluationCache:
         copied = data[10:30].copy()
         assert cache.get(cache.make_key(template, copied, test, 4)) == "slice"
 
-    def test_key_address_is_pinned(self):
-        # Persistent stores file records under this address, so any change
-        # to the key's shape or content makes every existing store miss.
-        key = EvaluationCache().make_key(
-            DriftForecaster(horizon=6),
+    @staticmethod
+    def _pinned_key(template):
+        return EvaluationCache().make_key(
+            template,
             np.arange(20.0).reshape(-1, 1),
             np.arange(6.0).reshape(-1, 1),
             6,
         )
+
+    def test_key_address_is_pinned(self):
+        # Persistent stores file records under this address, so any change
+        # to the key's shape or content makes every existing store miss.
+        key = self._pinned_key(DriftForecaster(horizon=6))
         assert key_digest(key) == "a3710b22bd0574e0b14dcc5c0bbe432f64a6dff5"
+
+    @pytest.mark.parametrize("name", list(INVENTORY_KEY_DIGESTS))
+    def test_inventory_key_addresses_are_pinned(self, name):
+        # The same address for every inventory pipeline, so a refactor of
+        # one cannot move its cells' records unnoticed.
+        template = PipelineRegistry().create(name, lookback=8, horizon=6)
+        assert key_digest(self._pinned_key(template)) == INVENTORY_KEY_DIGESTS[name]
 
     def test_lru_eviction(self):
         cache = EvaluationCache(max_entries=2)

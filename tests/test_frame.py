@@ -28,7 +28,12 @@ from repro.frame import (
     load_frame,
     spill_frame,
 )
-from repro.hybrid.window_regressor import WindowRegressor
+from repro.hybrid import (
+    DifferenceFlattenAutoEnsembler,
+    FlattenAutoEnsembler,
+    LocalizedFlattenAutoEnsembler,
+    WindowRegressor,
+)
 from repro.ml import StreamingRidge
 from repro.ml.linear import RidgeRegression
 from repro.store import LocalFSBackend
@@ -369,6 +374,22 @@ class TestWindowRegressorOnFrames:
             regressor=RidgeRegression(alpha=1.0), lookback=6, horizon=4
         ).fit(frame)
         np.testing.assert_allclose(frame_fit.predict(4), array_fit.predict(4))
+
+    @pytest.mark.parametrize(
+        "ensembler_cls",
+        [FlattenAutoEnsembler, DifferenceFlattenAutoEnsembler, LocalizedFlattenAutoEnsembler],
+    )
+    def test_auto_ensemblers_take_frames(self, ensembler_cls):
+        table = _table(160)
+        X = np.column_stack([table[name] for name in table])
+
+        def forecast(data):
+            model = ensembler_cls(lookback=6, horizon=4, regressors=[RidgeRegression()])
+            return model.fit(data).predict(4)
+
+        np.testing.assert_array_equal(
+            forecast(TimeSeriesFrame.from_columns(table)), forecast(X)
+        )
 
     def test_spilled_frame_streams_through_partial_fit(self, tmp_path):
         backend = LocalFSBackend(tmp_path / "store")

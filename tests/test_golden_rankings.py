@@ -2,10 +2,11 @@
 
 ``tests/golden/rankings.json`` pins what the rankings *are*, bit for bit:
 
-- ``autoai``: three zero-conf ``AutoAITS(prediction_horizon=12)`` fits on
-  AirPassengers[:72], hyndsight[:84] and nn5tn10dim[:84, :1]: the look-back,
-  the ranking, every pipeline's ``(allocation, score)`` cells and final
-  score, the winner, the holdout SMAPE and the SHA-256 of ``predict(12)``.
+- ``autoai``: four zero-conf ``AutoAITS(prediction_horizon=12)`` fits on
+  AirPassengers[:72], hyndsight[:84], nn5tn10dim[:84, :1] and the
+  three-series nn5tn10dim[:84, :3]: the look-back, the ranking, every
+  pipeline's ``(allocation, score)`` cells and final score, the winner, the
+  holdout SMAPE and the SHA-256 of ``predict(12)``.
 - ``tdaub``: ``TDaub`` over eight statistical forecasters on the full
   hyndsight series at ``n_jobs=1``: the ranking, the cells and the
   ``(phase, allocation)`` progress sequence.  The same run on two worker
@@ -98,6 +99,7 @@ def _autoai_section() -> dict:
         "AirPassengers": load_univariate_dataset("AirPassengers", seed_offset=0)[:72],
         "hyndsight": load_univariate_dataset("hyndsight", seed_offset=0)[:84],
         "nn5tn10dim": load_multivariate_dataset("nn5tn10dim", seed_offset=0)[:84, :1],
+        "nn5tn10dim_3series": load_multivariate_dataset("nn5tn10dim", seed_offset=0)[:84, :3],
     }
     section = {}
     for label, series in inputs.items():

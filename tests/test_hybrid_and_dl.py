@@ -28,19 +28,6 @@ class TestWindowRegressor:
         model.fit(seasonal_series)
         assert model.predict(6).shape == (6, 1)
 
-    def test_direct_strategy_shape(self, seasonal_series):
-        model = WindowRegressor(
-            regressor=RidgeRegression(), lookback=12, horizon=6, strategy="direct"
-        )
-        model.fit(seasonal_series)
-        assert model.predict(6).shape == (6, 1)
-        # Horizon longer than trained: blocks are chained.
-        assert model.predict(15).shape == (15, 1)
-
-    def test_invalid_strategy_raises(self, seasonal_series):
-        with pytest.raises(InvalidParameterError):
-            WindowRegressor(strategy="hybrid").fit(seasonal_series)
-
     def test_accuracy_on_seasonal_data(self, seasonal_series):
         train, test = _split(seasonal_series)
         model = WindowRegressor(regressor=RidgeRegression(), lookback=24, horizon=12).fit(train)
@@ -82,8 +69,8 @@ class TestAutoEnsemblers:
 
     def test_weights_sum_to_one(self, seasonal_series):
         model = FlattenAutoEnsembler(lookback=8, horizon=4).fit(seasonal_series[:120])
-        for weights in model.column_weights_:
-            assert np.isclose(weights.sum(), 1.0)
+        for ensemble in model.models_:
+            assert np.isclose(ensemble.weights_.sum(), 1.0)
 
     def test_difference_variant_handles_trend(self):
         series = 5.0 + 2.0 * np.arange(150.0)

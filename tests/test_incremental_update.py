@@ -105,14 +105,6 @@ UPDATE_CASES = [
         3,
         1e-6,
     ),
-    (
-        "window_ridge_direct",
-        lambda: WindowRegressor(
-            StreamingRidge(alpha=0.5), lookback=6, horizon=3, strategy="direct"
-        ),
-        3,
-        1e-6,
-    ),
 ]
 
 

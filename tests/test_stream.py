@@ -364,6 +364,14 @@ class TestStreamingEngine:
         assert engine.append(series[200:210]).total_rows == 210
         assert engine.append(series[210:220]).total_rows == 220
 
+    def test_empty_arrival_is_rejected(self):
+        engine = StreamingEngine(
+            [ZeroModelForecaster(horizon=4), DriftForecaster(horizon=4)], horizon=4
+        ).start(np.sin(np.arange(200.0) / 5).reshape(-1, 1))
+        with pytest.raises(DataQualityError):
+            engine.append(np.zeros((0, 1)))
+        assert len(engine.buffer) == 200
+
     def test_manual_rerank_without_drift(self):
         series = _smooth_series(280, seed=10)
         engine = _engine().start(series)
