@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import as_2d_array, check_fraction, check_horizon
+from .._validation import as_2d_array, check_fraction, check_horizon, check_positive_int
 from ..exceptions import InvalidParameterError, NonFiniteForecastError, NotFittedError
 from ..forecasters.naive import ZeroModelForecaster
 from ..metrics.errors import smape
@@ -147,6 +147,9 @@ class AutoAITS(BaseForecaster):
         """Run the full zero-conf workflow on the input series."""
         horizon = check_horizon(self.prediction_horizon)
         check_fraction(self.holdout_fraction, "holdout_fraction")
+        for name in ("lookback_window", "max_look_back"):
+            if getattr(self, name) is not None:
+                check_positive_int(getattr(self, name), name)
         start_time = time.perf_counter()
         progress = ProgressReporter(verbose=self.verbose)
         self.progress_ = progress

@@ -507,6 +507,9 @@ class TDaub(BaseEstimator):
                 "eval_protocol must be 'holdout' or 'rolling_origin'."
             )
         check_positive_int(self.run_to_completion, "run_to_completion")
+        for name in ("min_allocation_size", "allocation_size", "fixed_allocation_cutoff"):
+            if getattr(self, name) is not None:
+                check_positive_int(getattr(self, name), name)
 
         start_time = time.perf_counter()
         self._engine = get_executor(self.executor, self.n_jobs)
@@ -613,13 +616,13 @@ class TDaub(BaseEstimator):
             min_allocation = int(warm.min_allocation)
         else:
             min_allocation = max(L // 10, 4 * horizon, 8)
-        if self.allocation_size:
+        if self.allocation_size is not None:
             allocation_size = int(self.allocation_size)
         elif warm is not None:
             allocation_size = int(warm.allocation_size)
         else:
             allocation_size = min_allocation
-        if self.fixed_allocation_cutoff:
+        if self.fixed_allocation_cutoff is not None:
             cutoff = int(self.fixed_allocation_cutoff)
         elif warm is not None:
             cutoff = int(warm.cutoff)

@@ -316,6 +316,11 @@ class ProcessExecutor(BaseExecutor):
     def map_tasks(self, fn, tasks, timeout=None, deadline=None):
         if not tasks:
             return []
+        if self.start_method == "fork":
+            # A fork child inherits the modules its parent has imported and
+            # nothing else: load SciPy's optimizer, which the smoothing and
+            # SVR fits import where they call it, once here, not per task.
+            import scipy.optimize  # noqa: F401
         ctx = multiprocessing.get_context(self.start_method)
         pending = deque(enumerate(tasks))
         running: dict[int, tuple[Any, Any, float]] = {}

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .._validation import as_2d_array, check_horizon
 from ..core.base import BaseForecaster, check_is_fitted
@@ -102,6 +101,8 @@ class SimpleExponentialSmoothing(BaseForecaster):
         elif len(series) < 3 or np.ptp(series) == 0:
             alpha = 0.5
         else:
+            from scipy import optimize
+
             result = optimize.minimize_scalar(
                 _ses_sse, bounds=(1e-4, 1.0), args=(values,), method="bounded"
             )
@@ -168,6 +169,8 @@ class DoubleExponentialSmoothing(BaseForecaster):
             beta = float(np.clip(self.beta, 1e-4, 1.0))
             phi = 0.98 if self.damped else 1.0
         else:
+            from scipy import optimize
+
             if self.damped:
                 initial = np.array([0.5, 0.1, 0.95])
                 bounds = [(1e-4, 1.0), (1e-4, 1.0), (0.8, 1.0)]

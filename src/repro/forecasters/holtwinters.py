@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .._validation import as_2d_array, check_horizon
 from ..core.base import BaseForecaster, check_is_fitted
@@ -196,6 +195,8 @@ class HoltWintersForecaster(BaseForecaster):
         elif len(series) < 2 * period or np.ptp(series) == 0:
             alpha, beta, gamma = 0.5, 0.05, 0.1
         else:
+            from scipy import optimize
+
             def objective(params: np.ndarray) -> float:
                 return _advance_filter(values, period, seasonal, *params, *state)[0]
 

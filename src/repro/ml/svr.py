@@ -12,7 +12,6 @@ RBF/linear/polynomial kernels, sparse-ish support vectors).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .._validation import check_consistent_length
 from ..core.base import BaseRegressor, check_is_fitted
@@ -151,6 +150,8 @@ class SVR(BaseRegressor):
             grad_beta = K @ dloss_dpred / n_samples + 2.0 * regularisation * (K @ beta)
             grad_bias = float(np.mean(dloss_dpred))
             return value, np.append(grad_beta, grad_bias)
+
+        from scipy import optimize
 
         initial = np.zeros(n_samples + 1)
         result = optimize.minimize(

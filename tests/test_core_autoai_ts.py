@@ -123,6 +123,17 @@ class TestInputHandling:
         with pytest.raises(InvalidParameterError):
             AutoAITS(prediction_horizon=0).fit(seasonal_series)
 
+    @pytest.mark.parametrize(
+        "param, value",
+        [("lookback_window", 0), ("lookback_window", -3), ("max_look_back", 0), ("max_look_back", -2)],
+    )
+    def test_bad_window_parameter_raises_before_any_cell(self, seasonal_series, param, value):
+        steps = []
+        model = AutoAITS(prediction_horizon=6, progress_callback=steps.append, **{param: value})
+        with pytest.raises(InvalidParameterError, match=param):
+            model.fit(seasonal_series)
+        assert steps == []
+
     def test_too_short_series_raises(self):
         with pytest.raises(Exception):
             AutoAITS(prediction_horizon=2).fit(np.arange(6.0))

@@ -140,6 +140,29 @@ class TestTDaub:
                 seasonal_series
             )
 
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("min_allocation_size", 0),
+            ("min_allocation_size", -5),
+            ("min_allocation_size", 2.5),
+            ("allocation_size", 0),
+            ("allocation_size", -3),
+            ("fixed_allocation_cutoff", -1),
+        ],
+    )
+    def test_bad_allocation_parameter_raises_before_any_cell(self, seasonal_series, param, value):
+        fits = []
+
+        class _Spy(ZeroModelForecaster):
+            def fit(self, X, y=None):
+                fits.append(len(X))
+                return super().fit(X, y)
+
+        with pytest.raises(InvalidParameterError, match=param):
+            TDaub(pipelines=[_Spy(horizon=6)], horizon=6, **{param: value}).fit(seasonal_series)
+        assert fits == []
+
     def test_duplicate_pipeline_names_get_suffixes(self, seasonal_series):
         selector = TDaub(
             pipelines=[ZeroModelForecaster(horizon=4), ZeroModelForecaster(horizon=4)], horizon=4
