@@ -1,4 +1,4 @@
-"""Perf benchmark: O(Δ) streaming re-rank vs cold full re-rank.
+"""Perf benchmark: warm streaming re-rank vs cold full re-rank.
 
 The incremental evaluation engine's promise, recorded in
 ``BENCH_streaming.json`` at the repository root: after appending **5 %
@@ -8,15 +8,11 @@ origin T-Daub re-rank (``TDaub(warm_start=...)``) must be at least
 **byte-identical final ranking** on drift-free data — and it must get
 there the honest way:
 
-- every unchanged-prefix evaluation cell is served from cache or the
-  warm state's recorded score points (``prefix_refits_ == 0``: the warm
-  run never re-fits a fully-cached prefix round);
-- the cache's ``prefix_hits`` counter is positive, proving the hits
-  went through the declared prefix-reuse path rather than accidental
-  key collisions;
-- the arrival buffer's append-aware digests did their O(Δ) job
-  (``append_base_stats()`` is recorded so regressions in incremental
-  hashing show up in the artifact).
+- every unchanged-prefix evaluation cell is served from the adopted,
+  content-keyed cache (``prefix_refits_ == 0``: the warm run never
+  re-fits a fully-cached prefix round);
+- T-Daub's ``warm_hits_`` counter, the unchanged-prefix cells served
+  from that cache, is positive.
 
 Pipelines are sleep-bound (the same trick as ``bench_perf_chaos``): each
 fit blocks on a deterministic latency, so the warm/cold ratio measures
@@ -39,7 +35,6 @@ import numpy as np
 
 from repro.core.base import BaseForecaster
 from repro.core.tdaub import TDaub
-from repro.store.digest import append_base_stats, clear_digest_memo
 from repro.stream import ArrivalBuffer
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
@@ -115,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
 
     n_delta = max(1, n_rows // 20)  # the promised 5% arrival batch
     data = _series(n_rows + n_delta)
-    clear_digest_memo()
 
     buffer = ArrivalBuffer(n_series=1, capacity=2 * (n_rows + n_delta))
     buffer.append(data[:n_rows])
@@ -149,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
     speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
     ranking_identical = list(warm.ranked_names_) == list(cold.ranked_names_)
     cells_identical = _cells(warm) == _cells(cold)
-    digest_stats = append_base_stats()
 
     record = {
         "benchmark": "streaming_warm_rerank_vs_cold",
@@ -165,12 +158,10 @@ def main(argv: list[str] | None = None) -> int:
         "warm_speedup": round(speedup, 2),
         "warm_hits": warm.warm_hits_,
         "prefix_refits": warm.prefix_refits_,
-        "cache_prefix_hits": warm_cache_stats.prefix_hits,
         "cache_memory_hits": warm_cache_stats.memory_hits,
         "ranking_identical": ranking_identical,
         "cells_identical": cells_identical,
         "final_ranking": list(warm.ranked_names_),
-        "append_base_stats": digest_stats,
     }
     out = Path(args.json) if args.json else _RESULT_PATH
     out.write_text(json.dumps(record, indent=2) + "\n")
@@ -179,8 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  initial cold rank : {initial_seconds:6.2f}s")
     print(f"  warm re-rank      : {warm_seconds:6.2f}s  ({speedup:.1f}x faster than cold)")
     print(f"  cold re-rank      : {cold_seconds:6.2f}s")
-    print(f"  warm hits         : {warm.warm_hits_} (cache prefix hits: "
-          f"{warm_cache_stats.prefix_hits}, prefix re-fits: {warm.prefix_refits_})")
+    print(f"  warm hits         : {warm.warm_hits_} (prefix re-fits: {warm.prefix_refits_})")
     print(f"  ranking identical : {ranking_identical} (cells identical: {cells_identical})")
 
     failures = []
@@ -190,8 +180,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("warm and cold rankings diverged on drift-free data")
     if not cells_identical:
         failures.append("warm and cold evaluation cells diverged on drift-free data")
-    if warm_cache_stats.prefix_hits <= 0:
-        failures.append("no prefix-reuse cache hits recorded during the warm re-rank")
+    if warm.warm_hits_ <= 0:
+        failures.append("no unchanged-prefix cache hits recorded during the warm re-rank")
     if warm.prefix_refits_ != 0:
         failures.append(
             f"warm re-rank re-fit {warm.prefix_refits_} fully-cached prefix rounds"

@@ -37,7 +37,7 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .._validation import as_2d_array, check_positive_int
-from ..exceptions import InvalidParameterError
+from ..exceptions import InvalidParameterError, NotFittedError
 from ..exec.cache import EvaluationCache
 from ..exec.dataplane import resolve_array, share_payload
 from ..exec.executor import BaseExecutor, Deadline, get_executor
@@ -117,14 +117,16 @@ class TDaubWarmState:
     back via ``TDaub(warm_start=...)``.  It pins the *evaluation geometry*
     (protocol, internal test length, allocation grid) so the warm run
     replays the exact same deterministic schedule of evaluation cells,
-    and carries three score sources for those cells: the live
-    :class:`~repro.exec.EvaluationCache` (adopted, stats reset), the raw
-    ``(pipeline, n_train) -> score`` points as a fallback when cache
-    entries were evicted, and the cost projection that seeds the
-    wall-clock estimate.  Under ``eval_protocol="rolling_origin"`` every
-    cell whose train+test window lies inside ``series_length`` is a pure
-    function of bytes that appends cannot change, so the warm run re-fits
-    nothing for them — that is the O(Δ) re-ranking path.
+    and carries the live :class:`~repro.exec.EvaluationCache` (adopted,
+    stats reset) and the cost projection that seeds the wall-clock
+    estimate.  The cache is the only way a cell is reused: its keys hold
+    the pipeline's parameters and the bytes of both slices, so a
+    re-parameterized pipeline re-fits.  Under
+    ``eval_protocol="rolling_origin"`` every cell whose train+test window
+    lies inside ``series_length`` is a pure function of bytes that appends
+    cannot change, so the warm run re-fits only the cells that see new
+    rows.  With ``cache`` set to ``None`` the warm run re-ranks cold on
+    the pinned geometry.
     """
 
     series_length: int
@@ -134,8 +136,6 @@ class TDaubWarmState:
     min_allocation: int
     allocation_size: int
     cutoff: int
-    ranked_names: list[str] = field(default_factory=list)
-    points: dict = field(default_factory=dict, repr=False)
     cost_projection: float | None = None
     cache: EvaluationCache | None = field(default=None, repr=False)
 
@@ -296,10 +296,13 @@ class TDaub(BaseEstimator):
         ``warm_state_`` is taken) from a previous ranking over a prefix of
         the same data.  The warm run pins its allocation grid and test
         length to the prior run's, adopts its evaluation cache, and serves
-        every unchanged-prefix cell from cache (or from the recorded score
-        points) instead of re-fitting; only cells that see new bytes run.
+        every unchanged-prefix cell the cache holds instead of re-fitting;
+        only cells that see new bytes or new pipeline parameters run.
         ``warm_hits_`` / ``prefix_refits_`` count both sides.  Requires a
-        matching ``eval_protocol`` and ``horizon``.
+        matching ``eval_protocol`` and ``horizon``: a mismatch, or a value
+        of another type, raises
+        :class:`~repro.exceptions.InvalidParameterError`, and an unfitted
+        :class:`TDaub` raises :class:`~repro.exceptions.NotFittedError`.
     """
 
     def __init__(
@@ -397,16 +400,16 @@ class TDaub(BaseEstimator):
         """
         results: dict[int, FitScoreResult] = {}
         pending: list[tuple[int, object, FitScoreTask]] = []
-        for index, (name, template, (train, test), keyed) in enumerate(jobs):
+        for index, (_, template, (train, test), keyed) in enumerate(jobs):
             # Under a rolling-origin warm start, a cell whose train+test
             # window fits inside the previously ranked prefix is untouched
-            # by the appended rows: its evaluation *must* be reusable.
+            # by the appended rows: the adopted cache should hold it.
             is_prefix = (
                 self._prefix_limit is not None
                 and len(train) + len(test) <= self._prefix_limit
             )
             key = self._cache.make_key(template, *keyed, self.horizon)
-            hit = self._cache.get(key, prefix=is_prefix)
+            hit = self._cache.get(key)
             if hit is not None:
                 # The wall clock spent on a cache hit is ~0; keep the
                 # per-pipeline timing honest by not re-charging it.
@@ -414,27 +417,11 @@ class TDaub(BaseEstimator):
                 if is_prefix:
                     self.warm_hits_ += 1
                 continue
-            if is_prefix and self._warm is not None:
-                # Cache record evicted: fall back to the warm state's
-                # recorded score point for this exact cell.  Scores
-                # are pure functions of (pipeline, train, test), so the
-                # recorded value is what a re-fit would compute.
-                point = self._warm.points.get((name, int(len(train))))
-                if point is not None:
-                    result = FitScoreResult(
-                        tag=index,
-                        score=float(point),
-                        seconds=0.0,
-                        n_train=int(len(train)),
-                        from_cache=True,
-                    )
-                    self._cache.put(key, result, persist=False)
-                    results[index] = result
-                    self.warm_hits_ += 1
-                    continue
             if is_prefix:
-                # Reaching here means an unchanged-prefix cell is about to
-                # be re-fitted — the streaming benchmark gates this at 0.
+                # An unchanged-prefix cell the cache does not hold (new
+                # pipeline parameters, or a warm state without its cache)
+                # is about to be re-fitted — the streaming benchmark gates
+                # this at 0.
                 self.prefix_refits_ += 1
             pending.append(
                 (
@@ -510,28 +497,17 @@ class TDaub(BaseEstimator):
         for name in ("min_allocation_size", "allocation_size", "fixed_allocation_cutoff"):
             if getattr(self, name) is not None:
                 check_positive_int(getattr(self, name), name)
-
-        start_time = time.perf_counter()
-        self._engine = get_executor(self.executor, self.n_jobs)
-        self._plane = self._engine.create_dataplane()
-        try:
-            return self._fit(T, start_time)
-        finally:
-            # The plane's registrations (shared-memory segments, remote blob
-            # roster entries) live exactly as long as one fit.
-            plane, self._plane = self._plane, None
-            if plane is not None:
-                plane.close()
-
-    def _fit(self, T, start_time: float) -> "TDaub":
-        self._fit_start = start_time
-        self._cost_curve: list[tuple[float, float]] = []
-        self.cost_projection_: float | None = None
-
         warm = self.warm_start
         if isinstance(warm, TDaub):
             warm = getattr(warm, "warm_state_", None)
+            if warm is None:
+                raise NotFittedError("TDaub")
         if warm is not None:
+            if not isinstance(warm, TDaubWarmState):
+                raise InvalidParameterError(
+                    "warm_start must be None, a TDaubWarmState or a fitted TDaub, "
+                    f"got {type(warm).__name__}."
+                )
             if warm.eval_protocol != self.eval_protocol:
                 raise InvalidParameterError(
                     f"warm_start was produced under eval_protocol="
@@ -541,7 +517,23 @@ class TDaub(BaseEstimator):
                 raise InvalidParameterError(
                     f"warm_start horizon {warm.horizon} != this run's {self.horizon}."
                 )
-        self._warm = warm
+
+        start_time = time.perf_counter()
+        self._engine = get_executor(self.executor, self.n_jobs)
+        self._plane = self._engine.create_dataplane()
+        try:
+            return self._fit(T, warm, start_time)
+        finally:
+            # The plane's registrations (shared-memory segments, remote blob
+            # roster entries) live exactly as long as one fit.
+            plane, self._plane = self._plane, None
+            if plane is not None:
+                plane.close()
+
+    def _fit(self, T, warm: TDaubWarmState | None, start_time: float) -> "TDaub":
+        self._fit_start = start_time
+        self._cost_curve: list[tuple[float, float]] = []
+        self.cost_projection_: float | None = None
         self.warm_hits_ = 0
         self.prefix_refits_ = 0
         if warm is not None and warm.cost_projection is not None:
@@ -551,7 +543,7 @@ class TDaub(BaseEstimator):
             # Adopt the prior ranking's cache wholesale: its memory tier
             # already holds every prefix cell, so a warm re-rank hits even
             # without a persistent store.  Stats reset so this run's
-            # hit/prefix counters describe this run only.
+            # hit/miss counters describe this run only.
             self._cache = warm.cache
             self._cache.reset_stats()
         else:
@@ -717,11 +709,6 @@ class TDaub(BaseEstimator):
         self.best_pipeline_ = best_pipeline
         self.cache_stats_ = self._cache.stats
         self.budget_exhausted_ = self._deadline.expired
-        points: dict = {}
-        for name, evaluation in evaluations.items():
-            for size, score in zip(evaluation.allocation_sizes, evaluation.scores):
-                if np.isfinite(score):
-                    points[(name, int(size))] = float(score)
         min_allocation, allocation_size, cutoff = self._grid
         self.warm_state_ = TDaubWarmState(
             series_length=int(len(T)),
@@ -731,8 +718,6 @@ class TDaub(BaseEstimator):
             min_allocation=int(min_allocation),
             allocation_size=int(allocation_size),
             cutoff=int(cutoff),
-            ranked_names=list(ranked),
-            points=points,
             cost_projection=self.cost_projection_,
             cache=self._cache,
         )

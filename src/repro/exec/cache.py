@@ -53,18 +53,13 @@ class CacheStats:
 
     ``disk_hits`` counts the subset of ``hits`` that were served from the
     persistent tier (and promoted into the memory tier);
-    ``memory_hits`` is the remainder.  ``prefix_hits`` counts hits the
-    caller declared *prefix reuse* — evaluations over an unchanged
-    prefix of a grown series (see ``EvaluationCache.get(..., prefix=True)``)
-    — so streaming benchmarks can attribute a warm re-rank's speedup to
-    the records it never recomputed.
+    ``memory_hits`` is the remainder.
     """
 
     hits: int
     misses: int
     size: int
     disk_hits: int = 0
-    prefix_hits: int = 0
 
     @property
     def memory_hits(self) -> int:
@@ -231,7 +226,6 @@ class EvaluationCache:
         self._hits = 0
         self._misses = 0
         self._disk_hits = 0
-        self._prefix_hits = 0
 
     # -- key construction ------------------------------------------------------
     def make_key(
@@ -260,21 +254,15 @@ class EvaluationCache:
         )
 
     # -- store operations ------------------------------------------------------
-    def get(self, key: Hashable, prefix: bool = False) -> Any | None:
+    def get(self, key: Hashable) -> Any | None:
         """Return the cached value for ``key`` or ``None`` on a miss.
 
         Memory misses fall through to the persistent tier; a disk hit is
         promoted into the memory tier so repeated lookups stay cheap.
-        ``prefix=True`` declares this lookup a *prefix reuse* — the caller
-        knows the evaluation lies entirely inside a previously evaluated
-        prefix of a grown series (warm-started T-Daub does) — and a hit is
-        additionally counted in ``stats.prefix_hits``.
         """
         with self._lock:
             if key in self._store:
                 self._hits += 1
-                if prefix:
-                    self._prefix_hits += 1
                 self._store.move_to_end(key)
                 return self._store[key]
         if self.store is not None:
@@ -283,8 +271,6 @@ class EvaluationCache:
                 with self._lock:
                     self._hits += 1
                     self._disk_hits += 1
-                    if prefix:
-                        self._prefix_hits += 1
                     self._insert(key, value)
                 return value
         with self._lock:
@@ -319,7 +305,6 @@ class EvaluationCache:
             self._hits = 0
             self._misses = 0
             self._disk_hits = 0
-            self._prefix_hits = 0
 
     def reset_stats(self) -> None:
         """Zero the counters while keeping every cached entry.
@@ -332,7 +317,6 @@ class EvaluationCache:
             self._hits = 0
             self._misses = 0
             self._disk_hits = 0
-            self._prefix_hits = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -346,7 +330,6 @@ class EvaluationCache:
                 misses=self._misses,
                 size=len(self._store),
                 disk_hits=self._disk_hits,
-                prefix_hits=self._prefix_hits,
             )
 
     def __repr__(self) -> str:

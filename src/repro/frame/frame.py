@@ -17,24 +17,17 @@ hashed and pinned the whole base even when a task consumed two columns.
 
 Frames are treated as **immutable** once constructed (buffers are
 exposed read-only); the digests, the data plane and the spill format all
-rely on that.  Streaming growth is expressed *functionally*:
-``append_rows`` returns a new frame whose columns extend the old ones,
-writing in place into spare capacity of the column buffers when this
-frame is the buffer's current high-water prefix (and reallocating
-geometrically otherwise), so every exposed view keeps its bytes and the
-incremental digest states carry across growth.  The chunked on-disk twin lives in
+rely on that.  The chunked on-disk twin lives in
 :mod:`repro.frame.chunked`, and :class:`repro.frame.framer.ChunkedWindowFramer`
 streams supervised windows out of either residence.
 """
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from ..exceptions import DataQualityError, InvalidParameterError
-from ..store.digest import array_digest, register_append_base
+from ..store.digest import array_digest
 
 __all__ = [
     "BaseFrame",
@@ -86,30 +79,6 @@ def dictionary_encode(
     if dictionary.size > min(max_cardinality, max(2, values.size // 8)):
         return None
     return codes.astype(np.uint8), dictionary
-
-
-#: ``id(base) -> (weakref(base), rows_used)``: the high-water mark of a
-#: capacity buffer created by ``append_rows``.  A frame may append in
-#: place only when its view covers exactly ``rows_used`` rows — the
-#: buffer's current tip.  Two frames sharing one buffer cannot both
-#: extend it: the second sees a moved tip and reallocates instead of
-#: clobbering rows the first already exposed.
-_APPEND_TIPS: dict[int, tuple] = {}
-
-
-def _tip_rows(base: np.ndarray) -> int | None:
-    entry = _APPEND_TIPS.get(id(base))
-    if entry is not None and entry[0]() is base:
-        return entry[1]
-    return None
-
-
-def _set_tip(base: np.ndarray, rows: int) -> None:
-    try:
-        ref = weakref.ref(base, lambda _ref, _key=id(base): _APPEND_TIPS.pop(_key, None))
-    except TypeError:  # pragma: no cover - ndarray subclasses without weakref
-        return
-    _APPEND_TIPS[id(base)] = (ref, int(rows))
 
 
 class FrameColumn:
@@ -342,80 +311,6 @@ class TimeSeriesFrame(BaseFrame):
             else:
                 out[:rows, j] = column.dictionary[column.values[start:stop]]
         return out[:rows]
-
-    # -- growth ----------------------------------------------------------------
-    def append_rows(self, rows) -> "TimeSeriesFrame":
-        """Return a frame extending this one by ``rows`` (zero-copy growth).
-
-        ``rows`` is ``(n_new, n_columns)`` (a single 1-D row, or a column
-        vector for single-column frames, are accepted).  This frame is
-        untouched — its views keep their bytes — and the new frame shares
-        the same column buffers whenever possible: when this frame is the
-        current high-water prefix of a column's capacity buffer, the new
-        values are written into the spare capacity in place; otherwise
-        the column reallocates with geometric headroom and the
-        incremental digest state carries over (see
-        :func:`repro.store.digest.register_append_base`), so hashing the
-        grown column costs O(new bytes) either way.  Dictionary-encoded
-        columns decode to plain on append — arrivals may carry values
-        outside the frozen dictionary.
-        """
-        rows = np.asarray(rows)
-        if rows.ndim == 1:
-            if self.n_columns == 1:
-                rows = rows.reshape(-1, 1)
-            elif rows.size == self.n_columns:
-                rows = rows.reshape(1, -1)
-        if rows.ndim != 2 or rows.shape[1] != self.n_columns:
-            raise DataQualityError(
-                f"append_rows expects (n_new, {self.n_columns}) rows, got "
-                f"shape {rows.shape}."
-            )
-        delta = len(rows)
-        if delta == 0:
-            return self.slice_rows(0, len(self))
-
-        new_columns = []
-        for j, column in enumerate(self._columns):
-            old = column.decoded()
-            addition = np.asarray(rows[:, j]).astype(
-                old.dtype if column.dictionary is None else np.result_type(old.dtype, rows.dtype),
-                copy=False,
-            )
-            n = len(old)
-            base = old.base if isinstance(old.base, np.ndarray) else None
-            if (
-                column.dictionary is None
-                and base is not None
-                and base.ndim == 1
-                and base.flags.writeable
-                and base.dtype == old.dtype
-                and old.ctypes.data == base.ctypes.data
-                and _tip_rows(base) == n
-                and base.size >= n + delta
-            ):
-                base[n : n + delta] = addition
-                _set_tip(base, n + delta)
-                grown = base[: n + delta]
-            else:
-                capacity = max(2 * n, n + delta, 8)
-                new_base = np.empty(capacity, dtype=addition.dtype)
-                new_base[:n] = old
-                new_base[n : n + delta] = addition
-                carry = (
-                    base
-                    if base is not None and base.dtype == new_base.dtype
-                    else None
-                )
-                register_append_base(
-                    new_base,
-                    carry_from=carry,
-                    carry_bytes=n * new_base.itemsize,
-                )
-                _set_tip(new_base, n + delta)
-                grown = new_base[: n + delta]
-            new_columns.append(FrameColumn(column.name, grown))
-        return TimeSeriesFrame(new_columns)
 
     # -- identity --------------------------------------------------------------
     def fingerprint(self) -> tuple:

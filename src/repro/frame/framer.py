@@ -11,11 +11,11 @@ tensor in **blocks**:
   or a :class:`~repro.frame.chunked.SpilledFrame`; plain arrays are
   accepted for convenience) and only ``block_windows + lookback +
   horizon - 1`` rows are ever materialized at once;
-- each block applies the *exact* strided recipe of
-  ``make_supervised_windows`` to its row range, so the concatenation of
-  all blocks is byte-identical to the one-shot tensor — the parity tests
-  assert ``tobytes()`` equality across dtypes, odd lengths, edge-case
-  lookback/horizon and chunk-boundary-straddling windows;
+- each block calls ``make_supervised_windows`` on its row range, so the
+  concatenation of all blocks is byte-identical to the one-shot tensor —
+  the parity tests assert ``tobytes()`` equality across dtypes, odd
+  lengths, edge-case lookback/horizon and chunk-boundary-straddling
+  windows;
 - against a spilled frame the row ranges are gathered from mmap'd
   chunks, so peak anonymous memory is one block, not one tensor.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_2d_array, check_positive_int
+from ..transforms.window import make_supervised_windows
 from .frame import is_frame
 
 __all__ = ["ChunkedWindowFramer"]
@@ -104,28 +105,18 @@ class ChunkedWindowFramer:
     def blocks(self):
         """Yield ``(features, targets)`` per block, in window order.
 
-        Each block covers windows ``[w0, w0 + m)`` and is computed from
-        source rows ``[w0, w0 + m + lookback + horizon - 1)`` with the
-        same strided recipe as :func:`make_supervised_windows` — window
-        ``i`` never sees different bytes because of where a block (or a
-        spilled chunk) boundary fell.
+        Each block covers windows ``[w0, w0 + m)`` and is
+        :func:`make_supervised_windows` of source rows ``[w0, w0 + m +
+        lookback + horizon - 1)`` — window ``i`` never sees different
+        bytes because of where a block (or a spilled chunk) boundary fell.
         """
         lookback, horizon = self.lookback, self.horizon
         for w0 in range(0, self.n_windows, self.block_windows):
             m = min(self.block_windows, self.n_windows - w0)
             rows = self._rows(w0, w0 + m + lookback + horizon - 1)
-            feature_view = np.lib.stride_tricks.sliding_window_view(rows, lookback, axis=0)
-            features = feature_view[:m].transpose(0, 2, 1).copy()
-            target_view = np.lib.stride_tricks.sliding_window_view(rows, horizon, axis=0)
-            targets = target_view[lookback : lookback + m].transpose(0, 2, 1)
-            if self.target_column is not None:
-                targets = targets[:, :, [self.target_column]]
-            targets = targets.copy().reshape(m, -1)
-            if self.flatten:
-                features = features.reshape(m, lookback * self.n_series)
-            if targets.shape[1] == 1:
-                targets = targets.ravel()
-            yield features, targets
+            yield make_supervised_windows(
+                rows, lookback, horizon, self.target_column, self.flatten
+            )
 
     # -- materialization -------------------------------------------------------
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:

@@ -23,12 +23,10 @@ import os
 
 from .base import CircuitOpenError, StoreBackend, StoreError
 from .digest import (
-    append_base_stats,
     array_digest,
     clear_digest_memo,
     digest_memo_stats,
     key_digest,
-    register_append_base,
     text_digest,
 )
 from .localfs import LocalFSBackend
@@ -47,8 +45,6 @@ __all__ = [
     "text_digest",
     "clear_digest_memo",
     "digest_memo_stats",
-    "register_append_base",
-    "append_base_stats",
 ]
 
 

@@ -29,17 +29,9 @@ arrivals, rolled windows, rescales) re-hash instead of returning a stale
 digest; only a mutation confined strictly to interior bytes escapes.
 Call :func:`clear_digest_memo` to drop the memo.
 
-**Append bases.**  Streaming workloads grow one buffer for the life of a
-run: an arrival buffer appends rows, every ranking pass hashes dozens of
-*prefixes* of the same bytes, and a per-object memo is useless because
-each prefix is a fresh transient view.  :func:`register_append_base`
-declares a buffer append-only (bytes ``[0, n)`` never change once
-written), after which :func:`array_digest` recognizes any zero-offset
-contiguous prefix view of it and serves the digest from an incremental
-BLAKE2 state: extending a hashed prefix by Δ bytes costs O(Δ), and every
-previously requested prefix length is memoized outright.  The digests
-are byte-for-byte the ones a full rehash would produce, so cache keys —
-and warm persistent stores — are unchanged by the fast path.
+A prefix view of a growing buffer (a streaming series after an append)
+is a new object, so its digest is a full hash of its own bytes: a digest
+names content, never the buffer a view came from.
 """
 
 from __future__ import annotations
@@ -57,8 +49,6 @@ __all__ = [
     "text_digest",
     "clear_digest_memo",
     "digest_memo_stats",
-    "register_append_base",
-    "append_base_stats",
 ]
 
 #: Arrays smaller than this are hashed directly; the memo dict would cost
@@ -75,133 +65,6 @@ _memo_hits = 0
 _memo_misses = 0
 
 _GUARD_BYTES = 32
-
-
-class _AppendEntry:
-    """Incremental hash state of one registered append-only base buffer.
-
-    ``states`` maps a byte count to a BLAKE2 object that has consumed
-    exactly those leading bytes (hashlib objects stay updatable after
-    ``hexdigest``); ``digests`` memoizes finished prefix digests.  A new
-    prefix length extends the nearest smaller state over only the gap.
-    """
-
-    __slots__ = ("ref", "states", "digests")
-
-    def __init__(self, ref: Any):
-        self.ref = ref
-        self.states: dict[int, Any] = {}
-        self.digests: dict[int, str] = {}
-
-
-#: ``id(base) -> _AppendEntry``; weakref cleanup mirrors ``_MEMO``.
-_APPEND: dict[int, _AppendEntry] = {}
-_APPEND_LOCK = threading.Lock()
-_append_hits = 0
-_append_extended_bytes = 0
-_append_full_rehashes = 0
-
-
-def register_append_base(
-    base: np.ndarray,
-    carry_from: np.ndarray | None = None,
-    carry_bytes: int | None = None,
-) -> np.ndarray:
-    """Declare ``base`` an append-only buffer with incremental prefix hashing.
-
-    The registering owner promises that bytes ``[0, n)`` are never
-    rewritten once a length-``n`` prefix has been exposed for hashing —
-    exactly the discipline :class:`repro.stream.ArrivalBuffer` and
-    ``TimeSeriesFrame.append_rows`` enforce by handing out read-only
-    views.  When the owner reallocates (geometric capacity growth copies
-    the prefix into a bigger buffer), pass the old buffer as
-    ``carry_from`` with ``carry_bytes`` (the copied byte count): the old
-    incremental states transfer instead of rehashing history.  Returns
-    ``base`` for chaining.
-    """
-    base = np.asarray(base)
-    if not base.flags.c_contiguous:
-        raise ValueError("an append base must be C-contiguous")
-    key = id(base)
-    try:
-        ref = weakref.ref(base, lambda _ref, _key=key: _APPEND.pop(_key, None))
-    except TypeError:  # pragma: no cover - ndarray subclasses without weakref
-        return base
-    entry = _AppendEntry(ref)
-    with _APPEND_LOCK:
-        if carry_from is not None:
-            donor = _APPEND.get(id(carry_from))
-            if donor is not None and donor.ref() is carry_from:
-                limit = donor.ref().nbytes if carry_bytes is None else int(carry_bytes)
-                limit = min(limit, base.nbytes)
-                entry.states = {
-                    stop: state.copy()
-                    for stop, state in donor.states.items()
-                    if stop <= limit
-                }
-                entry.digests = {
-                    stop: digest
-                    for stop, digest in donor.digests.items()
-                    if stop <= limit
-                }
-        _APPEND[key] = entry
-    return base
-
-
-def _append_entry_for(values: np.ndarray) -> tuple[_AppendEntry, np.ndarray] | None:
-    """The registered base ``values`` is a zero-offset prefix view of, if any."""
-    candidates = [values]
-    base = values.base
-    if isinstance(base, np.ndarray):
-        candidates.append(base)
-    for candidate in candidates:
-        entry = _APPEND.get(id(candidate))
-        if entry is None or entry.ref() is not candidate:
-            continue
-        if (
-            values.ctypes.data == candidate.ctypes.data
-            and values.nbytes <= candidate.nbytes
-        ):
-            return entry, candidate
-        return None
-    return None
-
-
-def _append_prefix_digest(entry: _AppendEntry, base: np.ndarray, nbytes: int) -> str:
-    global _append_hits, _append_extended_bytes, _append_full_rehashes
-    with _APPEND_LOCK:
-        digest = entry.digests.get(nbytes)
-        if digest is not None:
-            _append_hits += 1
-            return digest
-        start = 0
-        state = None
-        for stop in entry.states:
-            if start < stop <= nbytes:
-                start = stop
-        if start:
-            state = entry.states[start].copy()
-        else:
-            state = hashlib.blake2b(digest_size=16)
-            _append_full_rehashes += 1
-        if nbytes > start:
-            state.update(base.data.cast("B")[start:nbytes])
-            _append_extended_bytes += nbytes - start
-        entry.states[nbytes] = state
-        digest = state.hexdigest()
-        entry.digests[nbytes] = digest
-        return digest
-
-
-def append_base_stats() -> dict:
-    """Counters of the append-base fast path (for benchmarks and tests)."""
-    with _APPEND_LOCK:
-        return {
-            "bases": len(_APPEND),
-            "prefix_hits": _append_hits,
-            "extended_bytes": _append_extended_bytes,
-            "full_rehashes": _append_full_rehashes,
-        }
 
 
 def _hash_buffer(values: np.ndarray) -> str:
@@ -233,10 +96,6 @@ def array_digest(values: np.ndarray) -> str:
     if not values.flags.c_contiguous:
         # The compaction copy is transient; memoizing it would be useless.
         return _hash_buffer(np.ascontiguousarray(values))
-    appendable = _append_entry_for(values)
-    if appendable is not None:
-        entry, base = appendable
-        return _append_prefix_digest(entry, base, values.nbytes)
     if values.nbytes < _MEMO_MIN_BYTES:
         return _hash_buffer(values)
     key = id(values)
@@ -287,22 +146,12 @@ def text_digest(payload: bytes | str) -> str:
 
 
 def clear_digest_memo() -> None:
-    """Drop every memoized array digest and reset the counters.
-
-    Also forgets registered append bases (owners must re-register), so
-    tests get a clean slate for both fast paths.
-    """
+    """Drop every memoized array digest and reset the counters."""
     global _memo_hits, _memo_misses
-    global _append_hits, _append_extended_bytes, _append_full_rehashes
     with _MEMO_LOCK:
         _MEMO.clear()
         _memo_hits = 0
         _memo_misses = 0
-    with _APPEND_LOCK:
-        _APPEND.clear()
-        _append_hits = 0
-        _append_extended_bytes = 0
-        _append_full_rehashes = 0
 
 
 def digest_memo_stats() -> dict:

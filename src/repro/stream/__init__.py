@@ -1,13 +1,12 @@
-"""Incremental evaluation engine: O(Δ) streaming re-ranking.
+"""Incremental evaluation engine: streaming re-ranking over arrivals.
 
 The batch engine treats every invocation as cold — appending Δ rows to a
-T-length series re-fingerprints, re-fits and re-ranks everything at
-O(T + Δ).  This package is the incremental path through every layer:
+T-length series re-fits and re-ranks everything.  This package is the
+incremental path:
 
 - :class:`ArrivalBuffer` — an append-only series whose prefix bytes
-  never move, registered for incremental BLAKE2 prefix hashing
-  (:func:`repro.store.digest.register_append_base`) so fingerprinting
-  after an append costs O(Δ);
+  never move, so every evaluation cell over an old prefix keys the same
+  cache record after an append;
 - the :meth:`~repro.core.base.BaseForecaster.update` seam — deployed
   winners absorb arrivals from sufficient statistics where the math
   allows, with a verified full-refit fallback elsewhere;
@@ -15,8 +14,9 @@ O(T + Δ).  This package is the incremental path through every layer:
   (:class:`repro.anomaly.ResidualDriftWatcher`) over the deployed
   winner's one-step-ahead errors, answered by a **warm-started**
   rolling-origin T-Daub re-rank (``TDaub(warm_start=...)``) that serves
-  every unchanged-prefix evaluation cell from cache and optionally
-  publishes the refreshed winner to the serving layer's snapshot store.
+  every unchanged-prefix evaluation cell from the content-keyed cache and
+  optionally publishes the refreshed winner to the serving layer's
+  snapshot store.
 """
 
 from .buffer import ArrivalBuffer

@@ -1,14 +1,11 @@
 """Append-only arrival buffer backing the streaming evaluation path.
 
 The streaming engine needs one growing 2-D series whose *prefix bytes
-never move*: every rolling-origin evaluation cell, every cache record and
-every incremental digest state is keyed on those bytes.
-:class:`ArrivalBuffer` owns a private writable capacity buffer, registers
-it with :func:`repro.store.digest.register_append_base` so hashing any
-prefix view is incremental, and hands consumers **read-only** zero-offset
-views — the discipline that makes the fast path sound.  Geometric
-reallocation on overflow carries the incremental hash states, so growth
-never re-pays for history.
+never move*: every rolling-origin evaluation cell and every cache record
+is keyed on those bytes.  :class:`ArrivalBuffer` owns a private writable
+capacity buffer, hands consumers **read-only** zero-offset views, and
+grows geometrically, so an append copies history only when it outgrows
+the capacity.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import numpy as np
 
 from .._validation import as_2d_array
 from ..exceptions import DataQualityError, InvalidParameterError
-from ..store.digest import register_append_base
 
 __all__ = ["ArrivalBuffer"]
 
@@ -38,9 +34,7 @@ class ArrivalBuffer:
             raise InvalidParameterError("n_series must be >= 1")
         self._n_series = int(n_series)
         capacity = max(int(capacity), 8)
-        self._base = register_append_base(
-            np.empty((capacity, self._n_series), dtype=np.float64)
-        )
+        self._base = np.empty((capacity, self._n_series), dtype=np.float64)
         self._rows = 0
 
     # -- shape ---------------------------------------------------------------
@@ -61,8 +55,7 @@ class ArrivalBuffer:
 
         Returns a read-only view of just the appended rows.  Existing
         views handed out by :meth:`view` keep their bytes — on overflow
-        the buffer reallocates rather than moving them, and the
-        incremental digest states carry to the new allocation.
+        the buffer reallocates rather than moving them.
         """
         rows = as_2d_array(rows, name="rows")
         if rows.shape[1] != self._n_series:
@@ -78,11 +71,6 @@ class ArrivalBuffer:
             capacity = max(2 * len(self._base), needed)
             new_base = np.empty((capacity, self._n_series), dtype=np.float64)
             new_base[: self._rows] = self._base[: self._rows]
-            register_append_base(
-                new_base,
-                carry_from=self._base,
-                carry_bytes=self._rows * self._n_series * new_base.itemsize,
-            )
             self._base = new_base
         self._base[self._rows : needed] = rows
         self._rows = needed
@@ -93,13 +81,7 @@ class ArrivalBuffer:
 
     # -- access --------------------------------------------------------------
     def view(self) -> np.ndarray:
-        """Read-only zero-offset view of all rows appended so far.
-
-        The view is a prefix of the registered append base, so
-        ``array_digest`` (and therefore every evaluation-cache slice
-        fingerprint derived from it or its sub-prefixes) resolves through
-        the incremental fast path.
-        """
+        """Read-only zero-offset view of all rows appended so far."""
         view = self._base[: self._rows]
         view = view.view()
         view.flags.writeable = False

@@ -9,9 +9,10 @@ where the math allows, verified full refit otherwise), a
 forecast residual, and a sustained residual regime change triggers a
 **warm-started** re-rank — T-Daub replays its rolling-origin schedule
 with every unchanged-prefix cell served from cache, so re-ranking after
-Δ arrivals costs O(Δ), not O(T + Δ).  Optionally the refreshed winner is
-published to the serving layer's content-addressed snapshot store, where
-running replicas hot-swap to it with zero dropped requests.
+Δ arrivals re-fits only the cells that see new rows.  Optionally the
+refreshed winner is published to the serving layer's content-addressed
+snapshot store, where running replicas hot-swap to it with zero dropped
+requests.
 """
 
 from __future__ import annotations

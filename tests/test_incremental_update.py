@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.base import BaseForecaster
 from repro.core.tdaub import TDaub
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.forecasters import (
     DriftForecaster,
     DoubleExponentialSmoothing,
@@ -270,26 +270,75 @@ class TestRollingOriginDeterminism:
         assert warm_ranking == cold_ranking
         assert warm_cells == cold_cells  # byte-identical scores and schedule
 
-    def test_warm_points_survive_cache_eviction(self, stream_series):
-        """Without any persistent store the warm state's recorded score
-        points still serve every prefix cell."""
+    def test_cacheless_warm_state_reranks_cold(self, stream_series):
+        """A warm state whose cache is gone reuses nothing: the warm run
+        re-fits every prefix cell on the pinned geometry and ranks as a
+        cold run does."""
         ranker = TDaub(
             _candidates(), eval_protocol="rolling_origin", **self.GRID
         ).fit(stream_series[:140])
         state = ranker.warm_state_
-        state.cache = None  # simulate the cache being gone entirely
+        state.cache = None
         warm = TDaub(
             _candidates(),
             eval_protocol="rolling_origin",
             warm_start=state,
             **self.GRID,
         ).fit(stream_series)
-        assert warm.warm_hits_ > 0
-        assert warm.prefix_refits_ == 0
+        assert warm.warm_hits_ == 0
+        assert warm.prefix_refits_ > 0
         cold = TDaub(
             _candidates(), eval_protocol="rolling_origin", **self.GRID
         ).fit(stream_series)
+        assert _ranking_and_cells(warm) == _ranking_and_cells(cold)
+
+    def test_reparameterized_pipeline_refits_its_prefix_cells(self):
+        """A warm re-rank reuses a cell only for the parameters that
+        scored it: a pipeline re-parameterized under the same name must
+        score and rank as in a cold run of its new parameters."""
+        series = np.cumsum(np.random.default_rng(0).normal(size=200)) + 50
+
+        def rank(alpha, X, warm_start=None):
+            pipelines = [
+                SimpleExponentialSmoothing(alpha=alpha, horizon=4),
+                ZeroModelForecaster(horizon=4),
+                DriftForecaster(horizon=4),
+            ]
+            return TDaub(
+                pipelines,
+                horizon=4,
+                min_allocation_size=20,
+                n_test=32,
+                eval_protocol="rolling_origin",
+                warm_start=warm_start,
+            ).fit(X)
+
+        prior = rank(0.9, series[:160])
+        warm = rank(0.1, series, warm_start=prior.warm_state_)
+        cold = rank(0.1, series)
+        name = "SimpleExponentialSmoothing"
+        assert warm.prefix_refits_ > 0
+        assert warm.evaluations_[name].allocation_sizes == cold.evaluations_[name].allocation_sizes
+        assert warm.evaluations_[name].scores == cold.evaluations_[name].scores
         assert warm.ranked_names_ == cold.ranked_names_
+
+    @pytest.mark.parametrize(
+        "warm_start, error",
+        [
+            ({"series_length": 140}, InvalidParameterError),
+            ("warm", InvalidParameterError),
+            (TDaub(_candidates()), NotFittedError),
+        ],
+        ids=["dict", "string", "unfitted-tdaub"],
+    )
+    def test_malformed_warm_start_raises_typed_error(self, stream_series, warm_start, error):
+        with pytest.raises(error):
+            TDaub(
+                _candidates(),
+                eval_protocol="rolling_origin",
+                warm_start=warm_start,
+                **self.GRID,
+            ).fit(stream_series)
 
     def test_warm_start_rejects_mismatched_geometry(self, stream_series):
         ranker = TDaub(

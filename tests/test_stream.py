@@ -1,6 +1,6 @@
-"""Streaming path: append-aware digests, arrival buffer, frame growth,
-cache-stat tiers, drift watching, the streaming engine and the serving
-hot-swap hook."""
+"""Streaming path: digest-memo regressions, arrival buffer, cache-stat
+tiers, drift watching, the streaming engine and the serving hot-swap
+hook."""
 
 from __future__ import annotations
 
@@ -22,16 +22,8 @@ from repro.forecasters import (
     ThetaForecaster,
     ZeroModelForecaster,
 )
-from repro.frame import TimeSeriesFrame
 from repro.store import LocalFSBackend
-from repro.store.digest import (
-    _MEMO,
-    _guard_sample,
-    append_base_stats,
-    array_digest,
-    clear_digest_memo,
-    register_append_base,
-)
+from repro.store.digest import _MEMO, _guard_sample, array_digest, clear_digest_memo
 from repro.stream import ArrivalBuffer, ArrivalReport, StreamingEngine
 
 
@@ -46,48 +38,6 @@ def _clean_digest_state():
     clear_digest_memo()
     yield
     clear_digest_memo()
-
-
-class TestAppendAwareDigests:
-    def test_prefix_digests_match_full_rehash(self):
-        base = register_append_base(np.empty(1000))
-        data = np.random.default_rng(0).normal(size=1000)
-        for stop in (100, 100, 400, 1000):
-            base[:stop] = data[:stop]
-            assert array_digest(base[:stop]) == _full_hash(data[:stop])
-
-    def test_extension_hashes_only_new_bytes(self):
-        base = register_append_base(np.empty(1000))
-        base[:600] = 1.0
-        array_digest(base[:600])
-        before = append_base_stats()["extended_bytes"]
-        base[600:1000] = 2.0
-        array_digest(base[:1000])
-        assert append_base_stats()["extended_bytes"] - before == 400 * 8
-
-    def test_repeated_prefix_is_memoized(self):
-        base = register_append_base(np.zeros(512))
-        array_digest(base[:256])
-        before = append_base_stats()["prefix_hits"]
-        array_digest(base[:256])
-        assert append_base_stats()["prefix_hits"] == before + 1
-
-    def test_reallocation_carries_hash_state(self):
-        old = register_append_base(np.zeros(512))
-        array_digest(old[:512])
-        new = np.empty(2048)
-        new[:512] = old
-        register_append_base(new, carry_from=old, carry_bytes=512 * 8)
-        before = append_base_stats()["full_rehashes"]
-        new[512:700] = 3.0
-        assert array_digest(new[:700]) == _full_hash(new[:700])
-        # the carried state extended over the gap — no full rehash ran
-        assert append_base_stats()["full_rehashes"] == before
-
-    def test_offset_views_do_not_use_the_fast_path(self):
-        base = register_append_base(np.arange(600.0))
-        # non-zero offset: not a prefix, must fall back to a plain hash
-        assert array_digest(base[100:500]) == _full_hash(base[100:500])
 
 
 class TestDigestMemoGrowthRegression:
@@ -135,65 +85,18 @@ class TestArrivalBuffer:
         assert buffer.capacity >= 28
 
     def test_prefix_digests_are_incremental_across_growth(self):
+        """A prefix view's digest equals a full rehash, before and after
+        the buffer grows."""
         buffer = ArrivalBuffer(n_series=1, capacity=8)
         buffer.append(np.arange(8.0).reshape(-1, 1))
-        array_digest(buffer.view())
-        buffer.append(np.arange(30.0).reshape(-1, 1))
-        before = append_base_stats()["full_rehashes"]
         assert array_digest(buffer.view()) == _full_hash(buffer.view())
-        assert append_base_stats()["full_rehashes"] == before
+        buffer.append(np.arange(30.0).reshape(-1, 1))  # forces reallocation
+        assert array_digest(buffer.view()) == _full_hash(buffer.view())
 
     def test_rejects_mismatched_width(self):
         buffer = ArrivalBuffer(n_series=2)
         with pytest.raises(DataQualityError):
             buffer.append(np.ones((3, 3)))
-
-
-class TestFrameAppendRows:
-    def test_append_extends_without_touching_the_original(self):
-        X = np.random.default_rng(1).normal(size=(60, 3))
-        frame = TimeSeriesFrame.from_array(X)
-        extra = np.random.default_rng(2).normal(size=(10, 3))
-        grown = frame.append_rows(extra)
-        assert len(frame) == 60 and len(grown) == 70
-        np.testing.assert_array_equal(grown.to_array(), np.vstack([X, extra]))
-        np.testing.assert_array_equal(frame.to_array(), X)
-
-    def test_second_append_reuses_capacity_in_place(self):
-        frame = TimeSeriesFrame.from_array(np.zeros((40, 2)))
-        g1 = frame.append_rows(np.ones((5, 2)))
-        base_before = g1.columns[0].values.base
-        g2 = g1.append_rows(np.full((5, 2), 2.0))
-        # same capacity buffer: the second append wrote into spare room
-        assert g2.columns[0].values.base is base_before
-
-    def test_sibling_append_does_not_clobber(self):
-        frame = TimeSeriesFrame.from_array(np.zeros((40, 1)))
-        g1 = frame.append_rows(np.ones((5, 1)))
-        g2 = g1.append_rows(np.full((3, 1), 2.0))
-        g3 = g1.append_rows(np.full((3, 1), 9.0))  # tip moved: must reallocate
-        np.testing.assert_array_equal(g2.to_array()[-3:], np.full((3, 1), 2.0))
-        np.testing.assert_array_equal(g3.to_array()[-3:], np.full((3, 1), 9.0))
-
-    def test_fingerprints_stay_content_addressed(self):
-        X = np.random.default_rng(3).normal(size=(50, 2))
-        extra = np.random.default_rng(4).normal(size=(6, 2))
-        grown = TimeSeriesFrame.from_array(X).append_rows(extra)
-        fresh = TimeSeriesFrame.from_array(np.vstack([X, extra]))
-        assert grown.fingerprint() == fresh.fingerprint()
-
-    def test_dictionary_columns_decode_on_append(self):
-        X = np.tile(np.array([[1.0, 5.0]]), (40, 1))
-        frame = TimeSeriesFrame.from_array(X, dictionary=True)
-        assert {c.encoding for c in frame.columns} == {"dict"}
-        grown = frame.append_rows(np.array([[7.5, 2.5]]))
-        assert {c.encoding for c in grown.columns} == {"plain"}
-        np.testing.assert_array_equal(grown.to_array()[-1], [7.5, 2.5])
-
-    def test_shape_validation(self):
-        frame = TimeSeriesFrame.from_array(np.zeros((20, 2)))
-        with pytest.raises(DataQualityError):
-            frame.append_rows(np.zeros((3, 5)))
 
 
 class TestCacheStatTiers:
@@ -218,19 +121,6 @@ class TestCacheStatTiers:
         stats = reader.stats
         assert stats.disk_hits == 1 and stats.memory_hits == 0
         assert stats.disk_hit_rate == 1.0
-
-    def test_prefix_hits_are_counted_when_declared(self):
-        train = np.arange(30.0).reshape(-1, 1)
-        test = np.arange(30.0, 36.0).reshape(-1, 1)
-        cache = EvaluationCache()
-        key = self._make_key(cache, train, test)
-        from repro.exec.tasks import FitScoreResult
-
-        cache.put(key, FitScoreResult(tag=0, score=1.0, seconds=0.1, n_train=30))
-        assert cache.get(key) is not None
-        assert cache.get(key, prefix=True) is not None
-        stats = cache.stats
-        assert stats.hits == 2 and stats.prefix_hits == 1
 
     def test_reset_stats_keeps_entries(self):
         cache = EvaluationCache()
