@@ -17,6 +17,7 @@ from .exceptions import DataQualityError, InvalidParameterError
 __all__ = [
     "as_2d_array",
     "as_1d_array",
+    "check_update_block",
     "check_positive_int",
     "check_fraction",
     "check_horizon",
@@ -63,6 +64,20 @@ def as_2d_array(values, name: str = "X", dtype=float, allow_nan: bool = True) ->
     if not allow_nan and not np.isfinite(array).all():
         raise DataQualityError(f"{name} contains NaN or infinite values.")
     return array
+
+
+def check_update_block(X_new, n_series: int) -> np.ndarray:
+    """Validate the rows handed to a forecaster's ``update()``.
+
+    The block must be finite and have the fitted model's series count;
+    anything else raises :class:`DataQualityError` before any state moves.
+    """
+    X_new = as_2d_array(X_new, name="X_new", allow_nan=False)
+    if X_new.shape[1] != n_series:
+        raise DataQualityError(
+            f"update block has {X_new.shape[1]} series, the fitted model has {n_series}."
+        )
+    return X_new
 
 
 def as_1d_array(values, name: str = "y", dtype=float) -> np.ndarray:

@@ -51,7 +51,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from ..exec.cache import _array_fingerprint
+from ..exec.cache import array_fingerprint
 from ..store import LocalFSBackend, StoreBackend
 from .results import ToolkitRun
 
@@ -113,7 +113,7 @@ def suite_spec(
             rows, columns = value.shape
             dataset_digests[name] = f"frame:{digest}:{rows}x{columns}"
             continue
-        kind, shape, dtype, digest = _array_fingerprint(
+        kind, shape, dtype, digest = array_fingerprint(
             np.asarray(value, dtype=float)
         )
         dataset_digests[name] = f"{digest}:{dtype}:{'x'.join(map(str, shape))}"

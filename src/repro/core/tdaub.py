@@ -19,7 +19,9 @@ workers finish, so every backend and worker count ranks as the sequential
 run does.  An :class:`~repro.exec.EvaluationCache` memoizes ``(pipeline
 parameters, data slice, horizon)`` so identical refits (e.g. the
 scoring-phase retrain of a pipeline that already reached the full
-allocation) are never recomputed.
+allocation) are never recomputed.  Each fit fingerprints every template
+once and every distinct slice once, from its own array, and keys the
+cache on those fingerprints alone.
 
 The allocation policy itself is :func:`allocation_schedule`, a generator of
 batches that reads recorded scores but never fits, caches, reads the clock
@@ -38,8 +40,8 @@ import numpy as np
 
 from .._validation import as_2d_array, check_positive_int
 from ..exceptions import InvalidParameterError, NotFittedError
-from ..exec.cache import EvaluationCache
-from ..exec.dataplane import resolve_array, share_payload
+from ..exec.cache import EvaluationCache, array_fingerprint, estimator_fingerprint
+from ..exec.dataplane import share_payload
 from ..exec.executor import BaseExecutor, Deadline, get_executor
 from ..exec.tasks import FitScoreResult, FitScoreTask, _apply_horizon, run_fit_score_task
 from ..stats.linear_model import ols_fit
@@ -389,18 +391,19 @@ class TDaub(BaseEstimator):
         jobs: Sequence[tuple[str, BaseForecaster, tuple, tuple]],
         evaluations: dict[str, PipelineEvaluation],
     ) -> list[float]:
-        """Evaluate a batch of independent ``(name, template, shipped, keyed)`` jobs.
+        """Evaluate a batch of independent ``(name, template, shipped, prints)`` jobs.
 
         ``shipped`` is the ``(train, test)`` pair a task carries (views or
-        data-plane refs) and ``keyed`` the same slices as local views, which
-        the cache keys on.  Cache hits are resolved immediately; only misses
-        are submitted to the execution engine.  Results are recorded into
-        the evaluation history in job order, so the caller's schedule stays
-        deterministic no matter how the backend interleaves the actual work.
+        data-plane refs) and ``prints`` the fingerprints of the template and
+        of both slices, which the cache keys on.  Cache hits are resolved
+        immediately; only misses are submitted to the execution engine.
+        Results are recorded into the evaluation history in job order, so
+        the caller's schedule stays deterministic no matter how the backend
+        interleaves the actual work.
         """
         results: dict[int, FitScoreResult] = {}
         pending: list[tuple[int, object, FitScoreTask]] = []
-        for index, (_, template, (train, test), keyed) in enumerate(jobs):
+        for index, (_, template, (train, test), prints) in enumerate(jobs):
             # Under a rolling-origin warm start, a cell whose train+test
             # window fits inside the previously ranked prefix is untouched
             # by the appended rows: the adopted cache should hold it.
@@ -408,7 +411,7 @@ class TDaub(BaseEstimator):
                 self._prefix_limit is not None
                 and len(train) + len(test) <= self._prefix_limit
             )
-            key = self._cache.make_key(template, *keyed, self.horizon)
+            key = self._cache.make_key(*prints, self.horizon)
             hit = self._cache.get(key)
             if hit is not None:
                 # The wall clock spent on a cache hit is ~0; keep the
@@ -575,29 +578,40 @@ class TDaub(BaseEstimator):
             if warm is not None and rolling and n_test == int(warm.n_test)
             else None
         )
-        # Share the inputs once per fit.  Tasks carry zero-copy slices of
-        # the shared payload (read-only views, or data-plane refs); cache
-        # keys hash the same slices of the local views the payload resolves
-        # to.  Without a plane the payload is the view.
+        # Share the inputs once per fit.  ``bases`` holds the train and the
+        # test base (the one series, twice, under rolling origin) and
+        # ``payload`` the same two as tasks receive them: read-only views,
+        # or data-plane refs.
         if rolling:
-            # Train prefixes and rolling test windows both slice the series.
-            payload = (share_payload(self._plane, T),)
+            bases = (T, T)
+            payload = (share_payload(self._plane, T),) * 2
         else:
-            payload = (share_payload(self._plane, T[:L]), share_payload(self._plane, T[L:]))
-        views = payload if self._plane is None else tuple(map(resolve_array, payload))
+            bases = (T[:L], T[L:])
+            payload = tuple(share_payload(self._plane, base) for base in bases)
 
-        def _cut(bases: tuple, allocation: int) -> tuple:
-            """The ``(train, test)`` slices of one allocation."""
+        def _rows(allocation: int) -> tuple:
+            """The train and test row ranges of one allocation, in their bases."""
             allocation = min(int(allocation), L)
             if rolling:
                 # Rolling origin is inherently oldest-first: the train slice
                 # is the prefix the test window rolls away from.
-                (series,) = bases
-                return series[:allocation], series[allocation : allocation + n_test]
-            T1, T2 = bases
+                return (0, allocation), (allocation, allocation + n_test)
             if self.allocation_direction == "oldest_first":
-                return T1[:allocation], T2
-            return T1[L - allocation :], T2
+                return (0, allocation), (0, n_test)
+            return (L - allocation, L), (0, n_test)
+
+        # Each distinct slice is cut and fingerprinted once per fit and
+        # shared by every batch and cell that uses it: tasks carry the
+        # payload's slice, and cache keys the fingerprint of the same rows
+        # of the local base, which hold the bytes every backend delivers.
+        cut: dict[tuple[int, int, int], tuple] = {}
+
+        def _slice(side: int, rows: tuple[int, int]) -> tuple:
+            key = (side, *rows)
+            if key not in cut:
+                piece = slice(*rows)
+                cut[key] = (payload[side][piece], array_fingerprint(bases[side][piece]))
+            return cut[key]
 
         # Resolve allocation parameters.  A warm run anchors the grid to
         # the prior run's: allocations derived from the *new* length would
@@ -630,15 +644,12 @@ class TDaub(BaseEstimator):
             for index, name in enumerate(base_names)
         ]
         templates = dict(zip(names, self.pipelines))
+        template_prints = {name: estimator_fingerprint(t) for name, t in templates.items()}
         evaluations = {name: PipelineEvaluation(name=name) for name in names}
 
         schedule = allocation_schedule(
             names, evaluations, L, self._grid, self.geo_increment_size, int(self.run_to_completion)
         )
-        # Each allocation's slices are cut once per fit and shared by every
-        # batch and cell that uses them, so the per-object digest memo
-        # hashes each keyed slice once per fit on every backend.
-        slices: dict[int, tuple] = {}
         ran = None
         while True:
             try:
@@ -654,13 +665,12 @@ class TDaub(BaseEstimator):
             self._log(
                 f"{phase} batch: " + ", ".join(f"{name} -> {size}" for name, size in cells)
             )
-            for _, size in cells:
-                if size not in slices:
-                    shipped = _cut(payload, size)
-                    slices[size] = (shipped, shipped if views is payload else _cut(views, size))
-            scores = self._evaluate_batch(
-                [(name, templates[name], *slices[size]) for name, size in cells], evaluations
-            )
+            jobs = []
+            for name, size in cells:
+                (train, train_fp), (test, test_fp) = map(_slice, (0, 1), _rows(size))
+                prints = (template_prints[name], train_fp, test_fp)
+                jobs.append((name, templates[name], (train, test), prints))
+            scores = self._evaluate_batch(jobs, evaluations)
             self._notify_progress(phase, allocation)
             if phase == "score":
                 expired = self._deadline.expired

@@ -19,21 +19,20 @@ scoring phase and the full benchmark matrix — funnels through this package:
   array values.  Serial, thread and ``fork`` workers get read-only views.
 - :mod:`repro.exec.cache` — :class:`EvaluationCache`, a two-tier memo of
   ``(pipeline params, data fingerprints, horizon) -> score``: an in-memory
-  LRU front tier plus an optional persistent tier, any
-  :class:`repro.store.StoreBackend`.
+  front tier plus an optional persistent tier, any
+  :class:`repro.store.StoreBackend`; and the two fingerprints its keys are
+  built from.
 - :mod:`repro.exec.tasks` — picklable task payloads and runner functions
   for pipeline evaluations and benchmark cells.
 """
 
-from .cache import CacheStats, EvaluationCache, estimator_fingerprint
+from .cache import CacheStats, EvaluationCache, array_fingerprint, estimator_fingerprint
 from .dataplane import (
     ArrayRef,
     DataPlane,
     FrameColumnRef,
     FrameRef,
     SharedMemoryPlane,
-    array_digest,
-    array_fingerprint,
     hydrate_task,
     resolve_array,
     resolve_frame,
@@ -77,14 +76,13 @@ __all__ = [
     "FrameColumnRef",
     "DataPlane",
     "SharedMemoryPlane",
-    "array_digest",
-    "array_fingerprint",
     "hydrate_task",
     "resolve_array",
     "resolve_frame",
     "resolve_payload",
     "EvaluationCache",
     "CacheStats",
+    "array_fingerprint",
     "estimator_fingerprint",
     "FitScoreTask",
     "FitScoreResult",

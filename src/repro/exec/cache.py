@@ -9,13 +9,15 @@ result is a pure function of that combination — so it can be cached, and
 (because the fingerprints are content-based, not identity-based) reused by
 *other processes and later runs* as well.
 
-:class:`EvaluationCache` keys entries on a structural fingerprint of the
-pipeline's hyper-parameters plus content fingerprints (BLAKE2 digests) of
-the training and test slices, which makes two different ``numpy`` views with
-equal content hit the same entry while any change in data, parameters or
-horizon misses.  The cache has two tiers:
+This module is the one home of both fingerprints a key is built from:
+:func:`estimator_fingerprint` (class plus hyper-parameters) and
+:func:`array_fingerprint` (shape, dtype and a BLAKE2 digest of the bytes).
+Callers fingerprint each template and slice once and hand the fingerprints
+to :meth:`EvaluationCache.make_key`, so two ``numpy`` views with equal
+content hit the same entry while any change in data, parameters or horizon
+misses.  The cache has two tiers:
 
-- an in-memory LRU front tier (always on), and
+- an in-memory front tier (always on), and
 - an optional persistent back tier — any :class:`repro.store.StoreBackend`
   (a :class:`~repro.store.LocalFSBackend` over a directory, or an
   :class:`~repro.store.ObjectStoreBackend` for shards with no shared
@@ -30,21 +32,14 @@ import functools
 import os
 import threading
 import types
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
 import numpy as np
 
-from ..store import StoreBackend, key_digest, open_store
-from .dataplane import array_fingerprint, resolve_payload
+from ..store import StoreBackend, array_digest, key_digest, open_store
 
-__all__ = ["EvaluationCache", "CacheStats"]
-
-#: Kept under its historical private name for suite manifests and tests.
-#: The scheme lives in :mod:`repro.exec.dataplane`; the digest inside is
-#: memoized per array object by :func:`repro.store.digest.array_digest`.
-_array_fingerprint = array_fingerprint
+__all__ = ["EvaluationCache", "CacheStats", "array_fingerprint", "estimator_fingerprint"]
 
 
 @dataclass(frozen=True)
@@ -82,24 +77,15 @@ class CacheStats:
         return self.disk_hits / total if total else 0.0
 
 
-def _slice_fingerprint(data: Any) -> tuple:
-    """Fingerprint a training/test input by its bytes alone.
+def array_fingerprint(values: np.ndarray) -> tuple:
+    """Content fingerprint of an array: shape, dtype and a BLAKE2 digest.
 
-    A data-plane ref resolves first, so it fingerprints exactly as the
-    array or frame it stands for: cache keys (and therefore warm
-    persistent stores) never depend on how the data travelled.  Callers
-    that key one slice many times pass the same local view each time, and
-    the per-object digest memo hashes it once.
-
-    Columnar frames fingerprint **per column** (memoized inside the frame
-    object), so the same logical content keys the same cache entry whether
-    it is an in-RAM frame, a spilled frame or a per-column ref, and
-    selecting 2 of 40 exogenous columns hashes 2 buffers, never the base.
+    The digest hashes the bytes in C order, so equal content fingerprints
+    equally whatever the memory layout.  Suite manifests name datasets
+    with it, and T-Daub keys every slice of a fit on it.
     """
-    data = resolve_payload(data)
-    if getattr(data, "is_timeseries_frame", False):
-        return data.fingerprint()
-    return array_fingerprint(np.asarray(data, dtype=float))
+    values = np.asarray(values)
+    return ("array", values.shape, values.dtype.str, array_digest(values))
 
 
 def _instance_fingerprint(value: Any) -> Hashable:
@@ -125,7 +111,7 @@ def _instance_fingerprint(value: Any) -> Hashable:
 def _value_fingerprint(value: Any) -> Hashable:
     """Recursively fingerprint a hyper-parameter value."""
     if isinstance(value, np.ndarray):
-        return _array_fingerprint(value)
+        return array_fingerprint(value)
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, tuple(_value_fingerprint(item) for item in value))
     if isinstance(value, dict):
@@ -194,15 +180,10 @@ def estimator_fingerprint(estimator: Any) -> Hashable:
 
 
 class EvaluationCache:
-    """Thread-safe LRU cache of ``(pipeline, data, horizon) -> result``.
+    """Thread-safe cache of ``(pipeline, data, horizon) -> result``.
 
     Parameters
     ----------
-    max_entries:
-        Upper bound on retained in-memory entries; the least recently used
-        entry is evicted first.  ``None`` means unbounded (the default —
-        T-Daub runs produce at most a few hundred entries).  Eviction from
-        the memory tier never deletes persisted records.
     store:
         The persistent tier, resolved by :func:`repro.store.open_store`:
         a directory path (a :class:`~repro.store.LocalFSBackend`), an
@@ -212,16 +193,9 @@ class EvaluationCache:
         concurrent runs.  ``None`` (default) keeps the cache memory-only.
     """
 
-    def __init__(
-        self,
-        max_entries: int | None = None,
-        store: "str | os.PathLike | StoreBackend | None" = None,
-    ):
-        if max_entries is not None and int(max_entries) < 1:
-            raise ValueError("max_entries must be a positive integer or None.")
-        self.max_entries = max_entries
+    def __init__(self, store: "str | os.PathLike | StoreBackend | None" = None):
         self.store = open_store(store)
-        self._store: OrderedDict[Hashable, Any] = OrderedDict()
+        self._store: dict[Hashable, Any] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -230,22 +204,23 @@ class EvaluationCache:
     # -- key construction ------------------------------------------------------
     def make_key(
         self,
-        template: Any,
-        train: np.ndarray,
-        test: np.ndarray,
+        template_fp: Hashable,
+        train_fp: Hashable,
+        test_fp: Hashable,
         horizon: int,
     ) -> Hashable:
         """Build the cache key for one fit-and-score evaluation.
 
-        The key depends on the template's parameters, the bytes of
-        ``train``/``test`` and the horizon, never on transport: a data-plane
-        ref resolves first and keys as its array value does.  Keying the
-        same array object again reuses its memoized digest.
+        ``template_fp`` is the template's :func:`estimator_fingerprint` and
+        ``train_fp``/``test_fp`` the slices' :func:`array_fingerprint`, so
+        the key depends on parameters, bytes and horizon, never on how the
+        data travels.  Callers fingerprint once per object they key many
+        times.
         """
         return (
-            estimator_fingerprint(template),
-            _slice_fingerprint(train),
-            _slice_fingerprint(test),
+            template_fp,
+            train_fp,
+            test_fp,
             int(horizon),
             # This slot held a custom scorer's fingerprint.  Scorers are
             # gone, but dropping the slot would change every key_digest and
@@ -263,7 +238,6 @@ class EvaluationCache:
         with self._lock:
             if key in self._store:
                 self._hits += 1
-                self._store.move_to_end(key)
                 return self._store[key]
         if self.store is not None:
             value = self.store.get(key_digest(key))
@@ -271,14 +245,14 @@ class EvaluationCache:
                 with self._lock:
                     self._hits += 1
                     self._disk_hits += 1
-                    self._insert(key, value)
+                    self._store[key] = value
                 return value
         with self._lock:
             self._misses += 1
         return None
 
     def put(self, key: Hashable, value: Any, persist: bool = True) -> None:
-        """Insert (or refresh) one entry, evicting the LRU entry if full.
+        """Insert (or refresh) one entry.
 
         With a persistent tier attached the value is written through; values
         the store cannot represent stay memory-only.  ``persist=False``
@@ -287,16 +261,9 @@ class EvaluationCache:
         sharing the store (e.g. environment-dependent failures).
         """
         with self._lock:
-            self._insert(key, value)
+            self._store[key] = value
         if self.store is not None and persist:
             self.store.put(key_digest(key), value)
-
-    def _insert(self, key: Hashable, value: Any) -> None:
-        """Memory-tier insert; caller must hold the lock."""
-        self._store[key] = value
-        self._store.move_to_end(key)
-        if self.max_entries is not None and len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
 
     def clear(self) -> None:
         """Drop the memory tier and reset counters (persisted records stay)."""

@@ -35,16 +35,15 @@ the per-version details).
 
 Everything here is transport: resolving a ref yields an array whose
 content is byte-identical to what the by-value path would have shipped.
-Cache keys come from those bytes alone: T-Daub keys each slice on the
-local view its ref resolves to, and a ref handed to the cache resolves
-first, so keys, rankings and manifests never depend on transport.
+Cache keys never see a ref: T-Daub fingerprints the rows of its own
+array that each shipped slice stands for, so keys, rankings and
+manifests never depend on transport.
 """
 
 from __future__ import annotations
 
 import atexit
 import dataclasses
-import os
 import secrets
 import sys
 import threading
@@ -62,8 +61,6 @@ __all__ = [
     "FrameRef",
     "DataPlane",
     "SharedMemoryPlane",
-    "array_digest",
-    "array_fingerprint",
     "resolve_array",
     "resolve_frame",
     "resolve_payload",
@@ -78,26 +75,6 @@ __all__ = [
 #: purpose: ``ls /dev/shm | grep repro-dp-`` after a test run is the leak
 #: gate (CI greps for exactly this).
 SHM_NAME_PREFIX = "repro-dp-"
-
-
-# ``array_digest`` now lives in :mod:`repro.store.digest` (one digest per
-# byte content across the cache, the data plane and every blob store) and
-# is memoized per array object — registering a dataset, fingerprinting it
-# for the suite spec and addressing its blob hash the buffer once.  It is
-# re-exported here because this was its historical home.
-
-
-def array_fingerprint(values: np.ndarray) -> tuple:
-    """Content fingerprint of an array: shape, dtype and a BLAKE2 digest.
-
-    Already-contiguous arrays are hashed through their buffer directly
-    (zero copies); only non-contiguous views pay one compaction copy.
-    :class:`repro.exec.cache.EvaluationCache` keys array slices on it
-    after resolving any ref, so a slice keys the same whichever way it
-    travels; :func:`array_digest` memoizes the digest per array object.
-    """
-    values = np.asarray(values)
-    return ("array", values.shape, values.dtype.str, array_digest(values))
 
 
 @dataclass(frozen=True)
@@ -503,8 +480,8 @@ class DataPlane:
     workers resolve them through :func:`resolve_array`.  Subclasses add
     the channel that reaches workers outside this process:
     :class:`SharedMemoryPlane` and the remote backend's blob plane.  A
-    plane only moves bytes: cache keys hash the local views the refs
-    resolve to, never the refs.
+    plane only moves bytes: cache keys fingerprint the caller's own
+    arrays, never the refs.
 
     Planes are context managers; ``close`` releases every registration
     (refcounted — a digest shared with another live plane survives).

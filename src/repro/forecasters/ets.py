@@ -21,19 +21,8 @@ import math
 
 import numpy as np
 
-from .._validation import as_2d_array, check_horizon
+from .._validation import as_2d_array, check_horizon, check_update_block
 from ..core.base import BaseForecaster, check_is_fitted
-from ..exceptions import DataQualityError
-
-
-def _check_update_block(X_new, n_series: int) -> np.ndarray:
-    X_new = as_2d_array(X_new, name="X_new", allow_nan=False)
-    if X_new.shape[1] != n_series:
-        raise DataQualityError(
-            f"update block has {X_new.shape[1]} series, the fitted model has "
-            f"{n_series}."
-        )
-    return X_new
 
 __all__ = ["SimpleExponentialSmoothing", "DoubleExponentialSmoothing"]
 
@@ -130,7 +119,7 @@ class SimpleExponentialSmoothing(BaseForecaster):
         point) so forecasts agree only approximately there.
         """
         check_is_fitted(self, ("levels_",))
-        X_new = _check_update_block(X_new, self.n_series_)
+        X_new = check_update_block(X_new, self.n_series_)
         levels = self.levels_
         for row in X_new:
             levels = self.alphas_ * row + (1 - self.alphas_) * levels
@@ -210,7 +199,7 @@ class DoubleExponentialSmoothing(BaseForecaster):
         than re-optimising — see :meth:`SimpleExponentialSmoothing.update`.
         """
         check_is_fitted(self, ("levels_",))
-        X_new = _check_update_block(X_new, self.n_series_)
+        X_new = check_update_block(X_new, self.n_series_)
         levels, trends = self.levels_, self.trends_
         alphas, betas, phis = self.alphas_, self.betas_, self.phis_
         for row in X_new:

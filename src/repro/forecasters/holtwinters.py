@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .._validation import as_2d_array, check_horizon
+from .._validation import as_2d_array, check_horizon, check_update_block
 from ..core.base import BaseForecaster, check_is_fitted
 from ..exceptions import InvalidParameterError
 from ..stats.spectral import dominant_period
@@ -235,12 +235,7 @@ class HoltWintersForecaster(BaseForecaster):
         on the longer series — the conditions the parity test pins.
         """
         check_is_fitted(self, ("models_",))
-        X_new = as_2d_array(X_new, name="X_new", allow_nan=False)
-        if X_new.shape[1] != self.n_series_:
-            raise InvalidParameterError(
-                f"update block has {X_new.shape[1]} series, the fitted model "
-                f"has {self.n_series_}."
-            )
+        X_new = check_update_block(X_new, self.n_series_)
         for j, model in enumerate(self.models_):
             _, level, trend, seasonals = _advance_filter(
                 X_new[:, j].tolist(),

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_2d_array, check_horizon, check_positive_int
+from .._validation import as_2d_array, check_horizon, check_positive_int, check_update_block
 from ..core.base import BaseForecaster, check_is_fitted
-from ..exceptions import DataQualityError
 
 __all__ = [
     "ZeroModelForecaster",
@@ -21,17 +20,6 @@ __all__ = [
     "DriftForecaster",
     "MeanForecaster",
 ]
-
-
-def _check_update_block(X_new, n_series: int) -> "np.ndarray":
-    """Validate an update block: 2-D, temporal order, same series count."""
-    X_new = as_2d_array(X_new, name="X_new")
-    if X_new.shape[1] != n_series:
-        raise DataQualityError(
-            f"update block has {X_new.shape[1]} series, the fitted model has "
-            f"{n_series}."
-        )
-    return X_new
 
 
 class ZeroModelForecaster(BaseForecaster):
@@ -51,7 +39,7 @@ class ZeroModelForecaster(BaseForecaster):
     def update(self, X_new, X_full=None) -> "ZeroModelForecaster":
         """O(1) update: only the newest row matters (byte-identical to refit)."""
         check_is_fitted(self, ("last_values_",))
-        X_new = _check_update_block(X_new, self.n_series_)
+        X_new = check_update_block(X_new, self.n_series_)
         self.last_values_ = X_new[-1].copy()
         return self
 
@@ -91,7 +79,7 @@ class SeasonalNaiveForecaster(BaseForecaster):
     def update(self, X_new, X_full=None) -> "SeasonalNaiveForecaster":
         """O(period) update: roll the observed tail (byte-identical to refit)."""
         check_is_fitted(self, ("last_season_",))
-        X_new = _check_update_block(X_new, self.n_series_)
+        X_new = check_update_block(X_new, self.n_series_)
         period = check_positive_int(self.seasonal_period, "seasonal_period")
         tail = np.vstack([self._tail_, X_new])[-period:]
         self.n_obs_ += len(X_new)
@@ -136,7 +124,7 @@ class DriftForecaster(BaseForecaster):
         the drift is the same ``(last - first) / (n - 1)`` expression on the
         same operand bytes."""
         check_is_fitted(self, ("last_values_",))
-        X_new = _check_update_block(X_new, self.n_series_)
+        X_new = check_update_block(X_new, self.n_series_)
         self.n_obs_ += len(X_new)
         self.last_values_ = X_new[-1].copy()
         if self.n_obs_ > 1:
@@ -176,7 +164,7 @@ class MeanForecaster(BaseForecaster):
 
     def update(self, X_new, X_full=None) -> "MeanForecaster":
         check_is_fitted(self, ("mean_",))
-        X_new = _check_update_block(X_new, self.n_series_)
+        X_new = check_update_block(X_new, self.n_series_)
         self.sum_ = self.sum_ + X_new.sum(axis=0)
         self.n_obs_ += len(X_new)
         self.mean_ = self.sum_ / self.n_obs_

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_2d_array, check_horizon
+from .._validation import as_2d_array, check_horizon, check_update_block
 from ..core.base import BaseForecaster, check_is_fitted
 from .ets import SimpleExponentialSmoothing
 
@@ -65,7 +65,7 @@ class ThetaForecaster(BaseForecaster):
         :meth:`SimpleExponentialSmoothing.update`).
         """
         check_is_fitted(self, ("slopes_",))
-        X_new = as_2d_array(X_new, name="X_new", allow_nan=False)
+        X_new = check_update_block(X_new, self.n_series_)
         self._ses.update(X_new)
         t_new = np.arange(self.n_obs_, self.n_obs_ + len(X_new), dtype=float)
         self._y_sum_ = self._y_sum_ + X_new.sum(axis=0)

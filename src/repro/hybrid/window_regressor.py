@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_2d_array, check_horizon, check_positive_int
+from .._validation import as_2d_array, check_horizon, check_positive_int, check_update_block
 from ..core.base import BaseForecaster, BaseRegressor, check_is_fitted, clone
-from ..exceptions import InvalidParameterError
 from ..ml.forest import RandomForestRegressor
 from ..ml.svr import SVR
 from ..transforms.window import make_supervised_windows
@@ -154,14 +153,9 @@ class WindowRegressor(BaseForecaster):
         ``partial_fit`` fall back to the base full-refit path.
         """
         check_is_fitted(self, ("models_",))
+        X_new = check_update_block(X_new, self._n_series)
         if not all(hasattr(model, "partial_fit") for model in self.models_):
             return super().update(X_new, X_full=X_full)
-        X_new = as_2d_array(X_new, name="X_new")
-        if X_new.shape[1] != self._n_series:
-            raise InvalidParameterError(
-                f"update block has {X_new.shape[1]} series, the fitted model "
-                f"has {self._n_series}."
-            )
         lookback = self._lookback_used
         rows = np.vstack([np.asarray(self._last_window, dtype=float), X_new])
         features, targets = make_supervised_windows(rows, lookback, 1)

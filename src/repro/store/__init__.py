@@ -22,13 +22,7 @@ from __future__ import annotations
 import os
 
 from .base import CircuitOpenError, StoreBackend, StoreError
-from .digest import (
-    array_digest,
-    clear_digest_memo,
-    digest_memo_stats,
-    key_digest,
-    text_digest,
-)
+from .digest import array_digest, key_digest, text_digest
 from .localfs import LocalFSBackend
 from .objectstore import ObjectStoreBackend, StoreTransportStats
 
@@ -43,8 +37,6 @@ __all__ = [
     "array_digest",
     "key_digest",
     "text_digest",
-    "clear_digest_memo",
-    "digest_memo_stats",
 ]
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic series of the shapes the paper works with.
+"""Shared fixtures: deterministic series of the shapes the paper works with,
+plus helpers that build cache keys from arrays and count array hashes.
 
 Also a session gate: a ``RuntimeWarning`` issued from ``src/repro`` that
 reaches pytest (one no ``filterwarnings`` mark ignores) makes the session
@@ -114,3 +115,45 @@ def shared_memory_fork_executor():
             return SharedMemoryPlane()
 
     return SharedMemoryForkExecutor
+
+
+@pytest.fixture(scope="session")
+def array_key():
+    """The cache key of a template on two arrays, fingerprinted first.
+
+    ``EvaluationCache.make_key`` takes fingerprints, which T-Daub computes
+    once per fit.  Returns the function; call it with ``(cache, template,
+    train, test, horizon)``.
+    """
+    from repro.exec.cache import array_fingerprint, estimator_fingerprint
+
+    def key(cache, template, train, test, horizon):
+        return cache.make_key(
+            estimator_fingerprint(template),
+            array_fingerprint(train),
+            array_fingerprint(test),
+            horizon,
+        )
+
+    return key
+
+
+@pytest.fixture()
+def hash_count(monkeypatch):
+    """Count the BLAKE2 buffer hashes behind every array digest.
+
+    Returns a function giving the number of hashes since the fixture was
+    set up; take differences to count one step.
+    """
+    import repro.store.digest as digest
+
+    calls = 0
+    original = digest._hash_buffer
+
+    def counted(values):
+        nonlocal calls
+        calls += 1
+        return original(values)
+
+    monkeypatch.setattr(digest, "_hash_buffer", counted)
+    return lambda: calls

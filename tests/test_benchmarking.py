@@ -25,7 +25,7 @@ from repro.benchmarking import (
 )
 from repro.benchmarking.results import BenchmarkResults, ToolkitRun
 from repro.exec import SerialExecutor
-from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
+from repro.forecasters.naive import DriftForecaster, MeanForecaster, ZeroModelForecaster
 
 
 def _toy_toolkits():
@@ -162,6 +162,24 @@ class TestResumableRuns:
             resumed.accuracy_ranking().average_rank
             == uninterrupted.accuracy_ranking().average_rank
         )
+
+    def test_in_place_edit_of_a_dataset_is_not_resumed(self, tmp_path):
+        """Regression: a dataset edited in place, away from its first and
+        last bytes, no longer matches the manifest; its cell is recomputed
+        on the edited bytes."""
+        manifest_path = str(tmp_path / "manifest.json")
+        toolkits = {"Mean": lambda horizon: MeanForecaster(horizon=horizon)}
+        series = 50 + 5 * np.sin(np.arange(1200) / 7)
+        BenchmarkRunner(horizon=12, manifest_path=manifest_path).run({"wave": series}, toolkits)
+        series[500:700] += 100.0
+        with pytest.warns(ManifestMismatchWarning, match="datasets"):
+            resumed = BenchmarkRunner(horizon=12, manifest_path=manifest_path).run(
+                {"wave": series}, toolkits, resume=True
+            )
+        fresh = BenchmarkRunner(horizon=12).run({"wave": series.copy()}, toolkits)
+        cell = resumed.run_for("Mean", "wave")
+        assert not cell.from_cache
+        assert cell.smape == fresh.run_for("Mean", "wave").smape
 
     def test_resume_false_recomputes_everything(self, tmp_path):
         manifest_path = str(tmp_path / "manifest.json")

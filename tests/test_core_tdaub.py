@@ -19,7 +19,6 @@ from repro.forecasters.naive import (
     ZeroModelForecaster,
 )
 from repro.forecasters.theta import ThetaForecaster
-from repro.store.digest import clear_digest_memo, digest_memo_stats
 
 
 @pytest.fixture()
@@ -191,16 +190,15 @@ class TestTDaub:
         assert selector.predict(6).shape == (6, 1)
 
     @staticmethod
-    def _fingerprinted_fit(executor=None):
-        """Steps, ranking and digest-memo misses of one fit from a clean memo."""
+    def _fingerprinted_fit(hash_count, executor=None):
+        """Steps, ranking and BLAKE2 buffer hashes of one fit."""
         # Two acceleration steps and the scoring batch all use the
-        # 2,400-row train slice; it must be one object for the whole fit so
-        # the per-object digest memo hashes it once.
+        # 2,400-row train slice; the fit must hash it once.
         rng = np.random.default_rng(0)
         t = np.arange(3000.0)
         series = 50 + 0.01 * t + 5 * np.sin(2 * np.pi * t / 7) + rng.normal(0, 1, 3000)
         steps = []
-        clear_digest_memo()
+        before = hash_count()
         selector = TDaub(
             pipelines=[
                 ZeroModelForecaster(horizon=6),
@@ -214,21 +212,25 @@ class TestTDaub:
             executor=executor,
             progress_callback=lambda event: steps.append((event["phase"], event["allocation"])),
         ).fit(series)
-        return steps, selector.ranked_names_, digest_memo_stats()["misses"]
+        return steps, selector.ranked_names_, hash_count() - before
 
-    def test_each_slice_fingerprinted_once_per_fit(self):
-        steps, _, misses = self._fingerprinted_fit()
+    def test_each_slice_fingerprinted_once_per_fit(self, hash_count):
+        steps, _, hashes = self._fingerprinted_fit(hash_count)
         assert steps[-3:] == [("accelerate", 2400), ("accelerate", 2400), ("score", 2400)]
-        # One miss per distinct slice the memo keeps (at least 4,096 bytes):
-        # the 720, 960, 1,200 and 2,400-row train slices and the test slice.
-        assert misses == 5
+        # One hash per distinct slice, whatever its size: the 240, 480,
+        # 720, 960, 1,200 and 2,400-row train slices and the test slice.
+        assert hashes == 7
 
-    def test_each_slice_fingerprinted_once_per_fit_by_ref(self, shared_memory_fork_executor):
-        steps, ranking, misses = self._fingerprinted_fit(shared_memory_fork_executor(n_jobs=2))
-        assert (steps, ranking) == self._fingerprinted_fit()[:2]
-        # Keys hash the local views the refs resolve to: the same five
-        # slices, plus the two bases the plane hashed to register them.
-        assert misses == 7
+    def test_each_slice_fingerprinted_once_per_fit_by_ref(
+        self, hash_count, shared_memory_fork_executor
+    ):
+        steps, ranking, hashes = self._fingerprinted_fit(
+            hash_count, shared_memory_fork_executor(n_jobs=2)
+        )
+        assert (steps, ranking) == self._fingerprinted_fit(hash_count)[:2]
+        # Keys fingerprint the same seven slices of the fit's own arrays,
+        # and the plane hashes the two bases it registers.
+        assert hashes == 9
 
 
 def _drive(schedule, evaluations, scores, decline=()):

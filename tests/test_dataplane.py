@@ -26,20 +26,17 @@ from repro.exec import (
     BaseExecutor,
     DataPlane,
     Deadline,
-    EvaluationCache,
     FitScoreTask,
     ProcessExecutor,
     RemoteExecutor,
     SerialExecutor,
     SharedMemoryPlane,
     ThreadExecutor,
-    array_digest,
     array_fingerprint,
     hydrate_task,
     resolve_array,
     run_fit_score_task,
 )
-from repro.exec.cache import _slice_fingerprint
 from repro.exec.dataplane import _LOCAL_BASES, SHM_NAME_PREFIX, active_segments
 from repro.forecasters.naive import (
     DriftForecaster,
@@ -48,7 +45,7 @@ from repro.forecasters.naive import (
     ZeroModelForecaster,
 )
 from repro.forecasters.theta import ThetaForecaster
-from repro.store import LocalFSBackend
+from repro.store import LocalFSBackend, array_digest
 
 _SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -118,18 +115,8 @@ class TestDataPlane:
         with DataPlane() as plane:
             base = _series(80).reshape(-1, 1)
             ref = plane.register(base)
-            assert _slice_fingerprint(ref[10:60]) == array_fingerprint(base[10:60])
-            assert _slice_fingerprint(ref) == array_fingerprint(base)
-
-    def test_cache_keys_identical_by_ref_and_by_value(self):
-        cache = EvaluationCache()
-        base = _series(100).reshape(-1, 1)
-        template = DriftForecaster(horizon=6)
-        with DataPlane() as plane:
-            ref = plane.register(base)
-            by_ref = cache.make_key(template, ref[:80], ref[80:], 6)
-            by_value = cache.make_key(template, base[:80], base[80:], 6)
-            assert by_ref == by_value
+            assert array_fingerprint(resolve_array(ref[10:60])) == array_fingerprint(base[10:60])
+            assert array_fingerprint(resolve_array(ref)) == array_fingerprint(base)
 
     def test_refcounting_shares_and_releases_bases(self):
         base = _series(50)

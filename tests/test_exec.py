@@ -397,83 +397,75 @@ INVENTORY_KEY_DIGESTS = {
 
 
 class TestEvaluationCache:
-    def _key(self, cache, horizon=6, scale=1.0, n=20):
+    @staticmethod
+    def _key(array_key, cache, horizon=6, scale=1.0, n=20):
         template = DriftForecaster(horizon=horizon)
         train = np.arange(n, dtype=float).reshape(-1, 1) * scale
         test = np.arange(6, dtype=float).reshape(-1, 1)
-        return cache.make_key(template, train, test, horizon)
+        return array_key(cache, template, train, test, horizon)
 
-    def test_hit_after_put(self):
+    def test_hit_after_put(self, array_key):
         cache = EvaluationCache()
-        key = self._key(cache)
+        key = self._key(array_key, cache)
         assert cache.get(key) is None  # miss
         cache.put(key, "value")
-        assert cache.get(self._key(cache)) == "value"  # structurally equal key hits
+        assert cache.get(self._key(array_key, cache)) == "value"  # structurally equal key hits
         stats = cache.stats
         assert stats.hits == 1 and stats.misses == 1 and stats.size == 1
 
-    def test_different_horizon_misses(self):
+    def test_different_horizon_misses(self, array_key):
         cache = EvaluationCache()
-        cache.put(self._key(cache, horizon=6), "h6")
-        assert cache.get(self._key(cache, horizon=12)) is None
+        cache.put(self._key(array_key, cache, horizon=6), "h6")
+        assert cache.get(self._key(array_key, cache, horizon=12)) is None
 
-    def test_different_data_misses(self):
+    def test_different_data_misses(self, array_key):
         cache = EvaluationCache()
-        cache.put(self._key(cache, scale=1.0), "a")
-        assert cache.get(self._key(cache, scale=2.0)) is None
-        assert cache.get(self._key(cache, n=21)) is None
+        cache.put(self._key(array_key, cache, scale=1.0), "a")
+        assert cache.get(self._key(array_key, cache, scale=2.0)) is None
+        assert cache.get(self._key(array_key, cache, n=21)) is None
 
-    def test_different_params_miss(self):
+    def test_different_params_miss(self, array_key):
         cache = EvaluationCache()
         train = np.arange(20, dtype=float).reshape(-1, 1)
         test = np.arange(6, dtype=float).reshape(-1, 1)
-        cache.put(cache.make_key(DriftForecaster(horizon=6), train, test, 6), "drift")
-        assert cache.get(cache.make_key(ZeroModelForecaster(horizon=6), train, test, 6)) is None
+        cache.put(array_key(cache, DriftForecaster(horizon=6), train, test, 6), "drift")
+        assert cache.get(array_key(cache, ZeroModelForecaster(horizon=6), train, test, 6)) is None
 
-    def test_equal_content_views_hit(self):
+    def test_equal_content_views_hit(self, array_key):
         cache = EvaluationCache()
         data = np.arange(40, dtype=float).reshape(-1, 1)
         template = DriftForecaster(horizon=4)
         test = np.arange(4, dtype=float).reshape(-1, 1)
-        cache.put(cache.make_key(template, data[10:30], test, 4), "slice")
+        cache.put(array_key(cache, template, data[10:30], test, 4), "slice")
         copied = data[10:30].copy()
-        assert cache.get(cache.make_key(template, copied, test, 4)) == "slice"
+        assert cache.get(array_key(cache, template, copied, test, 4)) == "slice"
 
     @staticmethod
-    def _pinned_key(template):
-        return EvaluationCache().make_key(
+    def _pinned_key(array_key, template):
+        return array_key(
+            EvaluationCache(),
             template,
             np.arange(20.0).reshape(-1, 1),
             np.arange(6.0).reshape(-1, 1),
             6,
         )
 
-    def test_key_address_is_pinned(self):
+    def test_key_address_is_pinned(self, array_key):
         # Persistent stores file records under this address, so any change
         # to the key's shape or content makes every existing store miss.
-        key = self._pinned_key(DriftForecaster(horizon=6))
+        key = self._pinned_key(array_key, DriftForecaster(horizon=6))
         assert key_digest(key) == "a3710b22bd0574e0b14dcc5c0bbe432f64a6dff5"
 
     @pytest.mark.parametrize("name", list(INVENTORY_KEY_DIGESTS))
-    def test_inventory_key_addresses_are_pinned(self, name):
+    def test_inventory_key_addresses_are_pinned(self, array_key, name):
         # The same address for every inventory pipeline, so a refactor of
         # one cannot move its cells' records unnoticed.
         template = PipelineRegistry().create(name, lookback=8, horizon=6)
-        assert key_digest(self._pinned_key(template)) == INVENTORY_KEY_DIGESTS[name]
+        assert key_digest(self._pinned_key(array_key, template)) == INVENTORY_KEY_DIGESTS[name]
 
-    def test_lru_eviction(self):
-        cache = EvaluationCache(max_entries=2)
-        keys = [self._key(cache, n=n) for n in (10, 11, 12)]
-        cache.put(keys[0], 0)
-        cache.put(keys[1], 1)
-        assert cache.get(keys[0]) == 0  # refresh key 0; key 1 is now LRU
-        cache.put(keys[2], 2)
-        assert cache.get(keys[1]) is None
-        assert cache.get(keys[0]) == 0 and cache.get(keys[2]) == 2
-
-    def test_clear(self):
+    def test_clear(self, array_key):
         cache = EvaluationCache()
-        cache.put(self._key(cache), "x")
+        cache.put(self._key(array_key, cache), "x")
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.hits == 0 and cache.stats.misses == 0

@@ -16,7 +16,6 @@ import pytest
 from repro import faults
 from repro.benchmarking import BenchmarkRunner
 from repro.exec import DataPlane, FrameRef, SharedMemoryPlane, resolve_payload
-from repro.exec.cache import _slice_fingerprint
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
 from repro.frame import (
@@ -37,7 +36,6 @@ from repro.hybrid import (
 from repro.ml import StreamingRidge
 from repro.ml.linear import RidgeRegression
 from repro.store import LocalFSBackend
-from repro.store.digest import clear_digest_memo, digest_memo_stats
 
 
 @pytest.fixture(autouse=True)
@@ -109,14 +107,13 @@ class TestTimeSeriesFrame:
         np.testing.assert_array_equal(frame.gather(13, 77), expected[13:77])
         np.testing.assert_array_equal(frame.to_array(), expected)
 
-    def test_select_composes_digests_without_rehash(self):
+    def test_select_composes_digests_without_rehash(self, hash_count):
         """Satellite: column selection reuses memoized per-column digests."""
         frame = TimeSeriesFrame.from_columns(_table(4096))
         frame.fingerprint()
-        clear_digest_memo()
+        before = hash_count()
         selected = frame.select(["trend", "season"]).fingerprint()
-        stats = digest_memo_stats()
-        assert stats["misses"] == 0, "column selection re-hashed a buffer"
+        assert hash_count() == before, "column selection re-hashed a buffer"
         full = dict(zip(frame.names, frame.fingerprint()[2]))
         assert selected[2] == (full["trend"], full["season"])
 
@@ -297,16 +294,15 @@ class TestFrameRefDataPlane:
         spilled = spill_frame(frame, backend, chunk_rows=64)
         with DataPlane() as plane:
             ref = plane.register_frame(frame)
-            prints = {
-                _slice_fingerprint(frame),
-                _slice_fingerprint(spilled),
-                _slice_fingerprint(ref),
-            }
+            prints = {resolve_payload(data).fingerprint() for data in (frame, spilled, ref)}
             assert len(prints) == 1
             windows = {
-                _slice_fingerprint(frame.slice_rows(25, 250)),
-                _slice_fingerprint(spilled.slice_rows(25, 250)),
-                _slice_fingerprint(ref[25:250]),
+                resolve_payload(data).fingerprint()
+                for data in (
+                    frame.slice_rows(25, 250),
+                    spilled.slice_rows(25, 250),
+                    ref[25:250],
+                )
             }
             assert len(windows) == 1
             assert windows != prints

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.base import BaseForecaster
 from repro.core.tdaub import TDaub
-from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.exceptions import DataQualityError, InvalidParameterError, NotFittedError
 from repro.forecasters import (
     DriftForecaster,
     DoubleExponentialSmoothing,
@@ -144,6 +144,28 @@ class TestUpdateParity:
         np.testing.assert_allclose(
             stepped.predict(horizon), block.predict(horizon), rtol=max(rtol, 1e-9)
         )
+
+
+class TestUpdateValidation:
+    @pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "wrong_width"])
+    @pytest.mark.parametrize(
+        "factory,horizon",
+        [case[1:3] for case in UPDATE_CASES],
+        ids=[case[0] for case in UPDATE_CASES],
+    )
+    def test_bad_block_raises_before_state_moves(self, stream_series, factory, horizon, kind):
+        """A non-finite or wrong-width block raises one typed error, and
+        the model forecasts exactly as before it."""
+        model = factory().fit(stream_series[:140])
+        before = model.predict(horizon)
+        block = stream_series[140:].copy()
+        if kind == "wrong_width":
+            block = np.hstack([block, block[:, :1]])
+        else:
+            block[3, 0] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+        with pytest.raises(DataQualityError):
+            model.update(block)
+        np.testing.assert_array_equal(model.predict(horizon), before)
 
 
 class TestUpdateFallback:

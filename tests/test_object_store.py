@@ -519,18 +519,19 @@ class TestShardedObjectStoreExecution:
 
 
 class TestEvaluationCacheOnBackends:
-    def _key(self, cache, n=20):
+    @staticmethod
+    def _key(array_key, cache, n=20):
         template = DriftForecaster(horizon=6)
         train = np.arange(n, dtype=float).reshape(-1, 1)
         test = np.arange(6, dtype=float).reshape(-1, 1)
-        return cache.make_key(template, train, test, 6)
+        return array_key(cache, template, train, test, 6)
 
-    def test_object_store_tier_survives_the_instance(self, store_server):
+    def test_object_store_tier_survives_the_instance(self, array_key, store_server):
         first = EvaluationCache(store=ObjectStoreBackend(store_server.url))
         result = FitScoreResult(tag=0, score=-2.0, seconds=0.3, n_train=20)
-        first.put(self._key(first), result)
+        first.put(self._key(array_key, first), result)
         second = EvaluationCache(store=store_server.url)  # URL string form
-        assert second.get(self._key(second)) == result
+        assert second.get(self._key(array_key, second)) == result
         assert second.stats.disk_hits == 1
 
     def test_tdaub_warm_rerun_served_from_object_store(self, store_server):
@@ -551,7 +552,7 @@ class TestEvaluationCacheOnBackends:
         assert warm.cache_stats_.misses == 0
         assert warm.cache_stats_.disk_hits > 0
 
-    def test_existing_diskstore_directory_reused_without_migration(self, tmp_path):
+    def test_existing_diskstore_directory_reused_without_migration(self, array_key, tmp_path):
         """A directory given as a path string and as a backend is one store.
 
         Stores written before the local layers merged are pinned by
@@ -559,9 +560,9 @@ class TestEvaluationCacheOnBackends:
         """
         legacy = EvaluationCache(store=str(tmp_path))
         result = FitScoreResult(tag=0, score=-1.0, seconds=0.2, n_train=20)
-        legacy.put(self._key(legacy), result)
+        legacy.put(self._key(array_key, legacy), result)
         modern = EvaluationCache(store=LocalFSBackend(tmp_path))
-        assert modern.get(self._key(modern)) == result
+        assert modern.get(self._key(array_key, modern)) == result
         assert modern.stats.disk_hits == 1
 
 

@@ -1,6 +1,7 @@
 """Tests for the persistent evaluation store and the two-tier cache."""
 
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core import TDaub
-from repro.exec import EvaluationCache, FitScoreResult, ToolkitRunResult
-from repro.exec.cache import _array_fingerprint, _value_fingerprint
+from repro.exec import DataPlane, EvaluationCache, FitScoreResult, ToolkitRunResult
+from repro.exec.cache import _value_fingerprint, array_fingerprint
 from repro.forecasters.naive import DriftForecaster, ZeroModelForecaster
 from repro.store import LocalFSBackend, key_digest
-from repro.store.digest import array_digest, clear_digest_memo, digest_memo_stats
+from repro.store.digest import array_digest
 
 
 class TestDiskStore:
@@ -250,18 +251,14 @@ class TestAtomicWriteStaging:
         assert leftovers == []
 
 
-class TestDigestMemo:
-    """Satellite: one hash per array buffer across cache keys, dataplane
-    refs and blob addresses."""
+def _blake2(values: np.ndarray) -> str:
+    return hashlib.blake2b(np.ascontiguousarray(values).data, digest_size=16).hexdigest()
 
-    def test_repeat_digest_of_one_array_hits_the_memo(self):
-        clear_digest_memo()
-        array = np.arange(4096.0)  # past the memo's minimum size
-        first = array_digest(array)
-        second = array_digest(array)
-        assert first == second
-        stats = digest_memo_stats()
-        assert stats["hits"] >= 1 and stats["entries"] >= 1
+
+class TestDigestMemo:
+    """One digest per byte content across cache keys, dataplane refs and
+    blob addresses.  Nothing memoizes it: every call hashes the bytes, so
+    an array edited in place never keeps the digest of its old content."""
 
     def test_equal_content_same_digest_across_objects(self):
         array = np.arange(4096.0)
@@ -269,27 +266,7 @@ class TestDigestMemo:
         assert array is not clone
         assert array_digest(array) == array_digest(clone)
 
-    def test_tiny_arrays_bypass_the_memo(self):
-        clear_digest_memo()
-        tiny = np.arange(8.0)
-        array_digest(tiny)
-        array_digest(tiny)
-        assert digest_memo_stats()["entries"] == 0
-
-    def test_memo_entry_evicted_when_array_collected(self):
-        import gc
-
-        clear_digest_memo()
-        array = np.arange(4096.0)
-        array_digest(array)
-        assert digest_memo_stats()["entries"] == 1
-        del array
-        gc.collect()
-        assert digest_memo_stats()["entries"] == 0
-
     def test_in_place_edge_mutation_invalidates_the_memo(self):
-        """The tripwire: mutating a hashed array must not serve a stale
-        digest (edge bytes are re-sampled on every hit)."""
         array = np.arange(4096.0)
         before = array_digest(array)
         array[0] = -1.0
@@ -298,56 +275,66 @@ class TestDigestMemo:
         array[-1] = -2.0
         assert array_digest(array) != after
 
+    def test_in_place_interior_mutation_changes_the_digest(self):
+        """Regression: the digest of an array edited in place, away from
+        its first and last bytes, is a fresh hash of the edited bytes."""
+        array = np.arange(4096.0)
+        before = array_digest(array)
+        array[500:700] += 100.0
+        assert array_digest(array) == _blake2(array)
+        assert array_digest(array) != before
+
     def test_fingerprint_and_dataplane_share_the_digest(self):
         """The same buffer must produce one address everywhere."""
-        from repro.exec.dataplane import array_digest as plane_digest
-
         array = np.arange(5000.0)
-        assert plane_digest(array) == array_digest(array)
-        assert _array_fingerprint(array)[3] == array_digest(array)
+        with DataPlane() as plane:
+            assert plane.register(array).digest == array_digest(array)
+        assert array_fingerprint(array)[3] == array_digest(array) == _blake2(array)
 
 
 class TestTwoTierCache:
-    def _key(self, cache, n=20):
+    @staticmethod
+    def _key(array_key, cache, n=20):
         template = DriftForecaster(horizon=6)
         train = np.arange(n, dtype=float).reshape(-1, 1)
         test = np.arange(6, dtype=float).reshape(-1, 1)
-        return cache.make_key(template, train, test, 6)
+        return array_key(cache, template, train, test, 6)
 
-    def test_disk_tier_survives_the_instance(self, tmp_path):
+    def test_disk_tier_survives_the_instance(self, array_key, tmp_path):
         first = EvaluationCache(store=tmp_path)
         result = FitScoreResult(tag=0, score=-2.0, seconds=0.3, n_train=20)
-        first.put(self._key(first), result)
+        first.put(self._key(array_key, first), result)
 
         second = EvaluationCache(store=tmp_path)
-        assert second.get(self._key(second)) == result
+        assert second.get(self._key(array_key, second)) == result
         stats = second.stats
         assert stats.hits == 1 and stats.disk_hits == 1 and stats.misses == 0
 
-    def test_disk_hit_promoted_to_memory(self, tmp_path):
+    def test_disk_hit_promoted_to_memory(self, array_key, tmp_path):
         first = EvaluationCache(store=tmp_path)
-        first.put(self._key(first), FitScoreResult(0, 1.0, 0.1, 20))
+        first.put(self._key(array_key, first), FitScoreResult(0, 1.0, 0.1, 20))
         second = EvaluationCache(store=tmp_path)
-        key = self._key(second)
+        key = self._key(array_key, second)
         second.get(key)
         second.get(key)
         stats = second.stats
         assert stats.hits == 2 and stats.disk_hits == 1  # second hit was in-memory
 
-    def test_memory_eviction_keeps_persisted_records(self, tmp_path):
-        cache = EvaluationCache(max_entries=1, store=tmp_path)
-        keys = [self._key(cache, n=n) for n in (10, 11)]
+    def test_memory_eviction_keeps_persisted_records(self, array_key, tmp_path):
+        cache = EvaluationCache(store=tmp_path)
+        keys = [self._key(array_key, cache, n=n) for n in (10, 11)]
         cache.put(keys[0], FitScoreResult(0, 1.0, 0.1, 10))
-        cache.put(keys[1], FitScoreResult(1, 2.0, 0.1, 11))  # evicts keys[0] from memory
-        assert len(cache) == 1
+        cache.put(keys[1], FitScoreResult(1, 2.0, 0.1, 11))
+        cache.clear()  # drops the memory tier only
+        assert len(cache) == 0
         hit = cache.get(keys[0])  # served by the disk tier
         assert hit is not None and hit.score == 1.0
         assert cache.stats.disk_hits == 1
 
-    def test_memory_only_cache_unchanged(self):
+    def test_memory_only_cache_unchanged(self, array_key):
         cache = EvaluationCache()
         assert cache.store is None
-        key = self._key(cache)
+        key = self._key(array_key, cache)
         assert cache.get(key) is None
         cache.put(key, "value")
         assert cache.get(key) == "value"
@@ -355,7 +342,7 @@ class TestTwoTierCache:
 
 
 class TestFingerprints:
-    def test_noncontiguous_view_hits_contiguous_entry(self):
+    def test_noncontiguous_view_hits_contiguous_entry(self, array_key):
         """Satellite: equal content must hit regardless of memory layout."""
         cache = EvaluationCache()
         data = np.arange(80.0).reshape(-1, 1)
@@ -363,18 +350,18 @@ class TestFingerprints:
         test = np.arange(4.0).reshape(-1, 1)
         view = data[::2]  # stride-2 view: same values, non-contiguous
         assert not view.flags.c_contiguous
-        cache.put(cache.make_key(template, view, test, 4), "entry")
+        cache.put(array_key(cache, template, view, test, 4), "entry")
         contiguous = np.ascontiguousarray(view)
-        assert cache.get(cache.make_key(template, contiguous, test, 4)) == "entry"
+        assert cache.get(array_key(cache, template, contiguous, test, 4)) == "entry"
 
     def test_contiguous_array_not_copied(self):
-        fingerprint = _array_fingerprint(np.arange(12.0).reshape(3, 4))
+        fingerprint = array_fingerprint(np.arange(12.0).reshape(3, 4))
         assert fingerprint[0] == "array" and fingerprint[1] == (3, 4)
 
     def test_fortran_order_matches_c_order_content(self):
         c_order = np.arange(12.0).reshape(3, 4)
         f_order = np.asfortranarray(c_order)
-        assert _array_fingerprint(c_order) == _array_fingerprint(f_order)
+        assert array_fingerprint(c_order) == array_fingerprint(f_order)
 
     def test_callable_fingerprint_is_process_independent(self):
         """Satellite: no id() in the fingerprint, so scorers hit across runs."""

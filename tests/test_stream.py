@@ -1,4 +1,4 @@
-"""Streaming path: digest-memo regressions, arrival buffer, cache-stat
+"""Streaming path: stale-digest regressions, arrival buffer, cache-stat
 tiers, drift watching, the streaming engine and the serving hot-swap
 hook."""
 
@@ -7,7 +7,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from repro.forecasters import (
     ZeroModelForecaster,
 )
 from repro.store import LocalFSBackend
-from repro.store.digest import _MEMO, _guard_sample, array_digest, clear_digest_memo
+from repro.store.digest import array_digest
 from repro.stream import ArrivalBuffer, ArrivalReport, StreamingEngine
 
 
@@ -33,26 +32,9 @@ def _full_hash(values: np.ndarray) -> str:
     ).hexdigest()
 
 
-@pytest.fixture(autouse=True)
-def _clean_digest_state():
-    clear_digest_memo()
-    yield
-    clear_digest_memo()
-
-
 class TestDigestMemoGrowthRegression:
-    """Satellite 1: the id-keyed memo must not serve stale digests to a
-    grown buffer that reuses the id (or the object) of a hashed array."""
-
-    def test_stale_entry_with_matching_guard_is_rejected_by_size(self):
-        # Simulate the id-reuse hazard directly: an entry whose weakref
-        # and edge guard both match the queried array (exactly what an
-        # in-place, zero-padded growth produces) but whose recorded byte
-        # count is the old, shorter buffer's.  Only the nbytes check
-        # stands between this entry and a stale digest.
-        grown = np.zeros(2048)
-        _MEMO[id(grown)] = (weakref.ref(grown), 1024, "stale-digest", _guard_sample(grown))
-        assert array_digest(grown) == _full_hash(grown)
+    """A grown buffer that reuses the id (or the object) of a hashed array
+    gets the digest of its own bytes, never a stale one."""
 
     def test_growing_an_array_in_a_loop_never_serves_stale_digests(self):
         rng = np.random.default_rng(7)
@@ -100,15 +82,12 @@ class TestArrivalBuffer:
 
 
 class TestCacheStatTiers:
-    def _make_key(self, cache, train, test):
-        return cache.make_key(ZeroModelForecaster(), train, test, 1)
-
-    def test_memory_vs_disk_hits_are_split(self, tmp_path):
+    def test_memory_vs_disk_hits_are_split(self, array_key, tmp_path):
         train = np.arange(20.0).reshape(-1, 1)
         test = np.arange(20.0, 26.0).reshape(-1, 1)
         store = LocalFSBackend(tmp_path / "cache")
         writer = EvaluationCache(store=store)
-        key = self._make_key(writer, train, test)
+        key = array_key(writer, ZeroModelForecaster(), train, test, 1)
         from repro.exec.tasks import FitScoreResult
 
         writer.put(key, FitScoreResult(tag=0, score=1.0, seconds=0.1, n_train=20))
@@ -117,16 +96,15 @@ class TestCacheStatTiers:
         assert stats.memory_hits == 1 and stats.disk_hits == 0
 
         reader = EvaluationCache(store=store)  # cold memory, warm disk
-        assert reader.get(self._make_key(reader, train, test)) is not None
+        assert reader.get(array_key(reader, ZeroModelForecaster(), train, test, 1)) is not None
         stats = reader.stats
         assert stats.disk_hits == 1 and stats.memory_hits == 0
         assert stats.disk_hit_rate == 1.0
 
-    def test_reset_stats_keeps_entries(self):
+    def test_reset_stats_keeps_entries(self, array_key):
         cache = EvaluationCache()
-        key = self._make_key(
-            cache, np.arange(10.0).reshape(-1, 1), np.arange(4.0).reshape(-1, 1)
-        )
+        train, test = np.arange(10.0).reshape(-1, 1), np.arange(4.0).reshape(-1, 1)
+        key = array_key(cache, ZeroModelForecaster(), train, test, 1)
         from repro.exec.tasks import FitScoreResult
 
         cache.put(key, FitScoreResult(tag=0, score=0.5, seconds=0.1, n_train=10))
