@@ -16,8 +16,9 @@ hashed and pinned the whole base even when a task consumed two columns.
   40 exogenous columns never touches the data.
 
 Frames are treated as **immutable** once constructed (buffers are
-exposed read-only); the digests, the data plane and the spill format all
-rely on that.  The chunked on-disk twin lives in
+exposed read-only, and the constructors copy an array its caller can
+still write); the digests, the data plane and the spill format all rely
+on that.  The chunked on-disk twin lives in
 :mod:`repro.frame.chunked`, and :class:`repro.frame.framer.ChunkedWindowFramer`
 streams supervised windows out of either residence.
 """
@@ -57,6 +58,22 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     view = values.view()
     view.flags.writeable = False
     return view
+
+
+def _detached(values: np.ndarray, source) -> np.ndarray:
+    """``values``, built from the caller's ``source``, or a copy of it when
+    it shares bytes the caller can still write through ``source``.
+
+    Column digests are memoized, so a buffer that changes under a frame
+    would keep naming its old bytes.  A source that is read-only down to
+    its last ndarray base stays zero-copy.
+    """
+    base = source
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return values.copy() if np.may_share_memory(values, source) else values
+        base = base.base
+    return values
 
 
 def dictionary_encode(
@@ -221,11 +238,13 @@ class TimeSeriesFrame(BaseFrame):
         """Split a row-major ``(n_samples, n_series)`` array into columns.
 
         ``dictionary=True`` additionally dictionary-encodes columns whose
-        cardinality qualifies (see :func:`dictionary_encode`).
+        cardinality qualifies (see :func:`dictionary_encode`).  A column
+        that would share the bytes of an array the caller can still write
+        is copied.
         """
         from .._validation import as_2d_array
 
-        X = as_2d_array(X, dtype=None)
+        source, X = X, as_2d_array(X, dtype=None)
         if names is None:
             names = [f"c{j}" for j in range(X.shape[1])]
         if len(names) != X.shape[1]:
@@ -237,7 +256,7 @@ class TimeSeriesFrame(BaseFrame):
             values = np.ascontiguousarray(X[:, j])
             encoded = dictionary_encode(values) if dictionary else None
             if encoded is None:
-                columns.append(FrameColumn(name, values))
+                columns.append(FrameColumn(name, _detached(values, source)))
             else:
                 codes, mapping = encoded
                 columns.append(FrameColumn(name, codes, mapping))
@@ -245,14 +264,18 @@ class TimeSeriesFrame(BaseFrame):
 
     @classmethod
     def from_columns(cls, columns, dictionary: bool = False) -> "TimeSeriesFrame":
-        """Build a frame from ``{name: 1-D values}`` (ordered) pairs."""
+        """Build a frame from ``{name: 1-D values}`` (ordered) pairs.
+
+        Values the caller can still write are copied; read-only arrays are
+        kept zero-copy.
+        """
         items = columns.items() if hasattr(columns, "items") else columns
         built = []
-        for name, values in items:
-            values = np.ascontiguousarray(values)
+        for name, source in items:
+            values = np.ascontiguousarray(source)
             encoded = dictionary_encode(values) if dictionary else None
             if encoded is None:
-                built.append(FrameColumn(name, values))
+                built.append(FrameColumn(name, _detached(values, source)))
             else:
                 codes, mapping = encoded
                 built.append(FrameColumn(name, codes, mapping))

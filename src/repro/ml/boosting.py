@@ -94,36 +94,40 @@ class GradientBoostingRegressor(BaseRegressor):
         best_validation_loss = np.inf
         rounds_without_improvement = 0
 
-        for iteration in range(int(self.n_estimators)):
-            gradient = self._negative_gradient(y_train, predictions)
+        # Targets near the float range overflow the predictions and losses;
+        # a non-finite forecast is refused where it is served, so the stages
+        # need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for iteration in range(int(self.n_estimators)):
+                gradient = self._negative_gradient(y_train, predictions)
 
-            if self.subsample < 1.0:
-                sample_size = max(2, int(round(self.subsample * len(y_train))))
-                sample_indices = rng.choice(len(y_train), size=sample_size, replace=False)
-            else:
-                sample_indices = np.arange(len(y_train))
+                X_fit, gradient_fit = X_train, gradient
+                if self.subsample < 1.0:
+                    sample_size = max(2, int(round(self.subsample * len(y_train))))
+                    sample_indices = rng.choice(len(y_train), size=sample_size, replace=False)
+                    X_fit, gradient_fit = X_train[sample_indices], gradient[sample_indices]
 
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                random_state=int(rng.integers(0, 2**31 - 1)),
-            )
-            tree.fit(X_train[sample_indices], gradient[sample_indices])
-            self.estimators_.append(tree)
+                tree = DecisionTreeRegressor(
+                    max_depth=self.max_depth,
+                    min_samples_leaf=self.min_samples_leaf,
+                    random_state=int(rng.integers(0, 2**31 - 1)),
+                )
+                tree.fit(X_fit, gradient_fit)
+                self.estimators_.append(tree)
 
-            predictions += self.learning_rate * tree.predict(X_train)
-            self.train_scores_.append(float(np.mean((y_train - predictions) ** 2)))
+                predictions += self.learning_rate * tree.predict(X_train)
+                self.train_scores_.append(float(np.mean((y_train - predictions) ** 2)))
 
-            if validation_predictions is not None:
-                validation_predictions += self.learning_rate * tree.predict(X_val)
-                validation_loss = float(np.mean((y_val - validation_predictions) ** 2))
-                if validation_loss < best_validation_loss - 1e-12:
-                    best_validation_loss = validation_loss
-                    rounds_without_improvement = 0
-                else:
-                    rounds_without_improvement += 1
-                    if rounds_without_improvement >= int(self.n_iter_no_change):
-                        break
+                if validation_predictions is not None:
+                    validation_predictions += self.learning_rate * tree.predict(X_val)
+                    validation_loss = float(np.mean((y_val - validation_predictions) ** 2))
+                    if validation_loss < best_validation_loss - 1e-12:
+                        best_validation_loss = validation_loss
+                        rounds_without_improvement = 0
+                    else:
+                        rounds_without_improvement += 1
+                        if rounds_without_improvement >= int(self.n_iter_no_change):
+                            break
 
         self.n_estimators_ = len(self.estimators_)
         self.trees_ = TreeArrays.concat([tree.tree_ for tree in self.estimators_])

@@ -188,8 +188,11 @@ class RidgeRegression(BaseRegressor):
             X_centered, y_centered = X, y
 
         n_features = X.shape[1]
-        gram = X_centered.T @ X_centered + self.alpha * np.eye(n_features)
-        moment = X_centered.T @ y_centered
+        # Inputs near the float range overflow the products; the non-finite
+        # coefficients that follow fail the fit's score, so they need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = X_centered.T @ X_centered + self.alpha * np.eye(n_features)
+            moment = X_centered.T @ y_centered
         try:
             self.coef_ = np.linalg.solve(gram, moment)
         except np.linalg.LinAlgError:

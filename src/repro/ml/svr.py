@@ -178,4 +178,7 @@ class SVR(BaseRegressor):
         Xs = (X - self._x_mean) / self._x_scale
         K = self._kernel_matrix(Xs, self._X_train)
         standardized = K @ self.dual_coef_ + self.intercept_
-        return standardized * self._y_scale + self._y_mean
+        # A target scale that overflowed gives a non-finite forecast, which
+        # is refused where it is scored or served; it need not warn here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return standardized * self._y_scale + self._y_mean

@@ -8,7 +8,9 @@ into one padded block and scores every split position of every candidate
 feature of every node with prefix sums.  When nodes draw their own feature
 subsets the batch is the next depth-first node of every tree, so each
 tree's draws still come from its own RNG in preorder; otherwise it is each
-tree's whole pending frontier.
+tree's whole pending frontier.  A tree draws the subsets of many nodes in
+one bounded-integer call and replays from it, value for value, what one
+``Generator.choice`` call per node would return (see :func:`_choice_rows`).
 
 Every number is computed exactly as a node-by-node recursive CART would:
 node totals are ``y.sum()`` and ``np.dot(y, y)`` over the node's own
@@ -128,16 +130,27 @@ def grow_trees(
     """Grow one tree per row of ``rows`` (row ids into ``X``/``y``).
 
     ``n_draw`` features are drawn without replacement at every split node
-    from that tree's generator in ``rngs``; when it covers every feature
-    no generator is touched and all features are scored.
+    from that tree's generator in ``rngs``, the features that
+    ``rng.choice(n_features, n_draw, replace=False)`` would return; when it
+    covers every feature no generator is touched and all features are
+    scored.  A tree draws ahead for nodes it may never search, so each
+    generator must serve this call alone.
     """
     n_trees, n_rows = rows.shape
     n_samples, n_features = X.shape
-    draws = n_draw < n_features
     depth_limit = np.inf if max_depth is None else int(max_depth)
     min_leaf = int(min_samples_leaf)
     min_split = max(int(min_samples_split), 2 * min_leaf)
-    n_candidates = n_draw if draws else n_features
+    draws = None
+    if n_draw < n_features:
+        # With ``min_split >= 2`` a tree searches at most ``n_rows - 1``
+        # nodes: each split adds a leaf, and a searched leaf keeps two rows.
+        # A tree that runs out of drawn rows draws again.
+        n_searched = n_rows - 1
+        if max_depth is not None:
+            n_searched = min(n_searched, 2 ** max(int(max_depth), 0) - 1)
+        draws = _FeatureDraws(rngs, n_features, n_draw, n_searched)
+    n_candidates = n_features if draws is None else n_draw
     all_features = np.arange(n_features)[None, :]
 
     # Row id ``n_samples`` is a pad: NaN features, zero target.  Each tree
@@ -160,6 +173,7 @@ def grow_trees(
     value_of: list[float] = []
     split: list[tuple[int, int, float, int, int]] = []
     stacks: list[list[tuple]] = [[] for _ in range(n_trees)]
+    add_reduce, dot = np.add.reduce, np.dot
 
     def add_node(tree: int, offset: int, size: int, depth: int, constant: bool):
         """Log a node; return its pending-split entry unless it is a leaf.
@@ -168,57 +182,125 @@ def grow_trees(
         tree, depth)``: the node's segment of ``data.rows`` and its totals.
         """
         segment = flat_ys[offset : offset + size]
-        total = segment.sum()
+        total = add_reduce(segment)  # the bits of ``segment.sum()``
         tree_of.append(tree)
         depth_of.append(depth)
         value_of.append(float(total / size))
         if depth >= depth_limit or size < min_split or constant:
             return None
-        square_total = float(np.dot(segment, segment))
+        square_total = float(dot(segment, segment))
         parent_sse = square_total - total**2 / size
         return (offset, size, total, square_total, parent_sse, len(value_of) - 1, tree, depth)
 
-    by_tree = flat_ys[: n_trees * n_rows].reshape(n_trees, n_rows)
-    root_constant = (by_tree.max(axis=1) - by_tree.min(axis=1)) == 0.0
-    for tree in range(n_trees):
-        entry = add_node(tree, tree * n_rows, n_rows, 0, bool(root_constant[tree]))
-        if entry is not None:
-            stacks[tree].append(entry)
+    # Targets near the float range overflow the totals and prefix sums to
+    # inf or NaN; such a gain never wins, so growing need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_tree = flat_ys[: n_trees * n_rows].reshape(n_trees, n_rows)
+        root_constant = (by_tree.max(axis=1) - by_tree.min(axis=1)) == 0.0
+        for tree in range(n_trees):
+            entry = add_node(tree, tree * n_rows, n_rows, 0, bool(root_constant[tree]))
+            if entry is not None:
+                stacks[tree].append(entry)
 
-    while True:
-        if draws:
-            batch = [stack.pop() for stack in stacks if stack]
-        else:
-            batch = [entry for stack in stacks for entry in stack]
-            for stack in stacks:
-                stack.clear()
-        if not batch:
-            break
-        if draws:
-            features = np.array(
-                [rngs[entry[6]].choice(n_features, size=n_draw, replace=False) for entry in batch]
-            )
-        for group in _size_groups([entry[1] for entry in batch], n_candidates):
-            chosen = [batch[index] for index in group]
-            outcomes = _split_nodes(data, chosen, features[group] if draws else all_features)
-            for entry, outcome in zip(chosen, outcomes):
-                if outcome is None:
-                    continue
-                offset, size = entry[:2]
-                node, tree, depth = entry[5:]
-                feature, threshold, n_left, left_constant, right_constant = outcome
-                left = len(value_of)
-                left_entry = add_node(tree, offset, n_left, depth + 1, left_constant)
-                right_entry = add_node(
-                    tree, offset + n_left, size - n_left, depth + 1, right_constant
+        while True:
+            if draws is not None:
+                batch = [stack.pop() for stack in stacks if stack]
+            else:
+                batch = [entry for stack in stacks for entry in stack]
+                for stack in stacks:
+                    stack.clear()
+            if not batch:
+                break
+            if draws is not None:
+                features = draws.take([entry[6] for entry in batch])
+            for group in _size_groups([entry[1] for entry in batch], n_candidates):
+                chosen = [batch[index] for index in group]
+                outcomes = _split_nodes(
+                    data, chosen, all_features if draws is None else features[group]
                 )
-                split.append((node, feature, threshold, left, left + 1))
-                # Right below left: the left child is next in preorder.
-                for child in (right_entry, left_entry):
-                    if child is not None:
-                        stacks[tree].append(child)
+                for entry, outcome in zip(chosen, outcomes):
+                    if outcome is None:
+                        continue
+                    offset, size = entry[:2]
+                    node, tree, depth = entry[5:]
+                    feature, threshold, n_left, left_constant, right_constant = outcome
+                    left = len(value_of)
+                    left_entry = add_node(tree, offset, n_left, depth + 1, left_constant)
+                    right_entry = add_node(
+                        tree, offset + n_left, size - n_left, depth + 1, right_constant
+                    )
+                    split.append((node, feature, threshold, left, left + 1))
+                    # Right below left: the left child is next in preorder.
+                    for child in (right_entry, left_entry):
+                        if child is not None:
+                            stacks[tree].append(child)
 
     return _assemble(tree_of, depth_of, value_of, split, n_trees)
+
+
+class _FeatureDraws:
+    """Every tree's candidate features, node after node in preorder.
+
+    Row ``i`` for tree ``t`` is what the ``i``-th
+    ``rngs[t].choice(n_features, n_draw, replace=False)`` call returns.  A
+    tree draws ``chunk`` rows at once, when it first needs one and again
+    when it has used them all; ``chunk`` covers the nodes a tree can search
+    (``n_searched``) unless that table would outgrow ``_MAX_BLOCK`` raw
+    draws across the trees.
+    """
+
+    def __init__(self, rngs: list, n_features: int, n_draw: int, n_searched: int):
+        self.rngs = rngs
+        self.n_features = n_features
+        self.n_draw = n_draw
+        self.chunk = max(1, min(n_searched, _MAX_BLOCK // (len(rngs) * (2 * n_draw - 1))))
+        self.table = np.empty((len(rngs), self.chunk, n_draw), dtype=np.int64)
+        self.used = np.full(len(rngs), self.chunk)
+
+    def take(self, trees: list[int]) -> np.ndarray:
+        """Next row of each listed tree (each tree at most once)."""
+        trees = np.asarray(trees, dtype=np.intp)
+        slot = self.used[trees]
+        spent = slot == self.chunk
+        if spent.any():
+            refill = trees[spent]
+            rows = _choice_rows(
+                [self.rngs[tree] for tree in refill], self.n_features, self.n_draw, self.chunk
+            )
+            self.table[refill] = rows.reshape(len(refill), self.chunk, self.n_draw)
+            slot[spent] = 0
+        self.used[trees] = slot + 1
+        return self.table[trees, slot]
+
+
+def _choice_rows(rngs: list, n: int, k: int, m: int) -> np.ndarray:
+    """``m`` successive ``rng.choice(n, k, replace=False)`` of each generator,
+    as ``(len(rngs) * m, k)`` rows, from one bounded-integer call per generator.
+
+    Up to 10,000 features numpy runs Floyd's algorithm: for ``j = n-k ..
+    n-1`` it draws ``v`` in ``[0, j]`` and picks ``v``, or ``j`` when ``v``
+    is already picked; then for ``i = k-1 .. 1`` it swaps pick ``i`` with
+    pick ``u``, ``u`` drawn in ``[0, i]``.  ``integers(0, highs)`` over an
+    int64 array makes each of those bounded draws in the same order, so the
+    rows and the generator's state afterwards are exactly ``choice``'s.
+    Above 10,000 features with ``k > n // 50`` numpy shuffles a tail of
+    ``arange(n)`` instead, and ``choice`` itself is called.
+    """
+    if n > 10_000 and k > n // 50:
+        return np.array([rng.choice(n, k, replace=False) for rng in rngs for _ in range(m)])
+    highs = np.tile(np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)]), m)
+    raw = np.concatenate([rng.integers(0, highs) for rng in rngs]).reshape(-1, 2 * k - 1)
+    picks = raw[:, :k].copy()
+    for t in range(1, k):
+        taken = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[taken, t] = n - k + t
+    rows = np.arange(len(picks))
+    for step, i in enumerate(range(k - 1, 0, -1)):
+        swap = raw[:, k + step]
+        held = picks[rows, swap]
+        picks[rows, swap] = picks[:, i]
+        picks[:, i] = held
+    return picks
 
 
 class _Data:
@@ -285,7 +367,8 @@ def _split_nodes(data: _Data, batch: list[tuple], features: np.ndarray) -> list:
 
     # A stable sort of the values is the argsort-ordered sequence itself.
     order = np.argsort(values, axis=2, kind="stable")
-    x_sorted = np.sort(values, axis=2, kind="stable")
+    starts = (np.arange(n_nodes * n_candidates) * width).reshape(n_nodes, n_candidates, 1)
+    x_sorted = values.reshape(-1)[order + starts]
     y_sorted = targets.reshape(-1)[order + (np.arange(n_nodes) * width)[:, None, None]]
 
     # Split after sorted position i: the left child takes i + 1 rows.
@@ -386,7 +469,9 @@ class DecisionTreeRegressor(BaseRegressor):
     Parameters follow the scikit-learn conventions; ``max_features`` accepts
     an int, a float fraction, ``"sqrt"``, ``"log2"`` or ``None`` (all
     features) and is re-drawn at every node, which is what random forests
-    need for decorrelated trees.
+    need for decorrelated trees.  The draws come from
+    ``np.random.default_rng(random_state)``; a ``Generator`` passed as
+    ``random_state`` is advanced past the draws the tree uses.
     """
 
     def __init__(
@@ -412,8 +497,8 @@ class DecisionTreeRegressor(BaseRegressor):
         if len(y) == 0:
             raise InvalidParameterError("Cannot fit a tree on empty data.")
 
-        rng = np.random.default_rng(self.random_state)
         self.n_features_in_ = X.shape[1]
+        n_draw = resolve_max_features(self.max_features, X.shape[1])
         self.tree_ = grow_trees(
             X,
             y,
@@ -421,8 +506,8 @@ class DecisionTreeRegressor(BaseRegressor):
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
-            n_draw=resolve_max_features(self.max_features, X.shape[1]),
-            rngs=[rng],
+            n_draw=n_draw,
+            rngs=[np.random.default_rng(self.random_state)] if n_draw < X.shape[1] else None,
         )
         self.n_nodes_ = int(self.tree_.n_nodes[0])
         return self

@@ -26,6 +26,7 @@ from repro.benchmarking import (
 from repro.benchmarking.results import BenchmarkResults, ToolkitRun
 from repro.exec import SerialExecutor
 from repro.forecasters.naive import DriftForecaster, MeanForecaster, ZeroModelForecaster
+from repro.frame import TimeSeriesFrame
 
 
 def _toy_toolkits():
@@ -179,6 +180,25 @@ class TestResumableRuns:
         fresh = BenchmarkRunner(horizon=12).run({"wave": series.copy()}, toolkits)
         cell = resumed.run_for("Mean", "wave")
         assert not cell.from_cache
+        assert cell.smape == fresh.run_for("Mean", "wave").smape
+
+    def test_in_place_edit_of_a_framed_array_leaves_the_frame_as_it_was(self, tmp_path):
+        """Regression: a frame built from a writable array viewed it, so an
+        in-place edit of the array changed the frame while its memoized
+        fingerprint still matched the manifest, and a resumed run served a
+        cell measured on the old bytes."""
+        manifest_path = str(tmp_path / "manifest.json")
+        toolkits = {"Mean": lambda horizon: MeanForecaster(horizon=horizon)}
+        series = 50 + 5 * np.sin(np.arange(1200) / 7)
+        datasets = {"wave": TimeSeriesFrame.from_columns({"y": series})}
+        BenchmarkRunner(horizon=12, manifest_path=manifest_path).run(datasets, toolkits)
+        series[500:700] += 100.0
+        resumed = BenchmarkRunner(horizon=12, manifest_path=manifest_path).run(
+            datasets, toolkits, resume=True
+        )
+        fresh = BenchmarkRunner(horizon=12).run(datasets, toolkits)
+        cell = resumed.run_for("Mean", "wave")
+        assert cell.from_cache
         assert cell.smape == fresh.run_for("Mean", "wave").smape
 
     def test_resume_false_recomputes_everything(self, tmp_path):

@@ -95,6 +95,36 @@ class TestTimeSeriesFrame:
         for name in picked.names:
             assert picked._by_name[name] is frame._by_name[name]
 
+    def test_constructors_copy_arrays_the_caller_can_still_write(self):
+        """Regression: a frame kept a view of the caller's writable array, so
+        editing that array in place changed the frame's values under its
+        memoized fingerprint."""
+        series = 50 + 5 * np.sin(np.arange(1200) / 7)
+        original = series.copy()
+        matrix = series.reshape(-1, 1).copy()
+        frames = [
+            TimeSeriesFrame.from_columns({"y": series}),
+            TimeSeriesFrame.from_array(matrix, names=["y"]),
+        ]
+        fingerprints = [frame.fingerprint() for frame in frames]
+        series[500:700] += 100.0
+        matrix[500:700] += 100.0
+        for frame, fingerprint in zip(frames, fingerprints):
+            np.testing.assert_array_equal(frame.column("y"), original)
+            rebuilt = TimeSeriesFrame.from_columns({"y": frame.column("y").copy()})
+            assert frame.fingerprint() == rebuilt.fingerprint() == fingerprint
+
+    def test_constructors_keep_read_only_arrays_zero_copy(self):
+        series = np.sin(np.arange(300) / 7)
+        frozen = series.copy()
+        frozen.flags.writeable = False
+        assert np.shares_memory(TimeSeriesFrame.from_columns({"y": frozen}).column("y"), frozen)
+        assert np.shares_memory(TimeSeriesFrame.from_array(frozen).column("c0"), frozen)
+        # A read-only view still exposes a base its owner can write.
+        view = series.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(TimeSeriesFrame.from_columns({"y": view}).column("y"), series)
+
     def test_buffers_are_read_only(self):
         frame = TimeSeriesFrame.from_columns(_table())
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the from-scratch ML regressors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,32 @@ class TestGradientBoosting:
     def test_unknown_loss_raises(self):
         with pytest.raises(InvalidParameterError):
             GradientBoostingRegressor(loss="poisson").fit(np.ones((5, 1)), np.ones(5))
+
+
+class TestOverflowingTargets:
+    """Targets near the float range overflow split gains, node totals and
+    boosting losses; the trees fit them to the same bytes without a warning."""
+
+    MODELS = {
+        "tree": lambda: DecisionTreeRegressor(max_depth=5, max_features="sqrt", random_state=0),
+        "forest": lambda: RandomForestRegressor(n_estimators=5, max_depth=5, random_state=0),
+        "boosting": lambda: GradientBoostingRegressor(
+            n_estimators=12, n_iter_no_change=3, random_state=0
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_fit_does_not_warn(self, name):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(80, 6))
+        y = 1e280 * (X[:, 0] + 0.1 * rng.normal(size=80))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = self.MODELS[name]().fit(X, y).predict(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            predicted = self.MODELS[name]().fit(X, y).predict(X)
+        assert predicted.tobytes() == expected.tobytes()
 
 
 class TestSVR:

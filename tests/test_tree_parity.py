@@ -7,16 +7,23 @@ one-tree-at-a-time forest and boosting loops that the flat kernel in
 targets, every stopping rule and feature-draw mode) must give byte-identical
 predictions, staged predictions, OOB error and training scores, and equal
 node counts and depths.
+
+The reference draws each node's features with ``Generator.choice``; the
+kernel replays those draws from one bounded-integer call per tree, so the
+grid and the replay tests below check that replay against the installed
+numpy (CI's Python 3.10 leg installs numpy from a version range).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeRegressor, GradientBoostingRegressor, RandomForestRegressor
+from repro.ml.tree import _choice_rows
 
 # Both implementations warn alike on the grid's inf and NaN features.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -260,10 +267,13 @@ def _reference_boosting(X, y, n_estimators, learning_rate, max_depth, min_sample
 # -- randomized grid ----------------------------------------------------------------
 
 
-def _case_data(rng):
-    """Features with ties, duplicate and cumulative columns, non-finite values."""
+def _case_data(rng, wide=False):
+    """Features with ties, duplicate and cumulative columns, non-finite values.
+
+    Wide cases have 16-40 features, so ``"sqrt"`` and ``"log2"`` draw 4-6.
+    """
     n = int(rng.integers(2, 201))
-    n_features = int(rng.integers(1, 13))
+    n_features = int(rng.integers(16, 41)) if wide else int(rng.integers(1, 13))
     X = rng.normal(size=(n, n_features)) * 10.0 ** rng.integers(-2, 4)
     for column in range(n_features):
         kind = rng.integers(0, 5)
@@ -290,6 +300,21 @@ def _case_data(rng):
     return X, y, X_test
 
 
+def _wide_case(rng):
+    return _case_data(rng, wide=True)
+
+
+def _signed_zero_case(rng):
+    """Columns whose ties mix 0.0 and -0.0 among NaN, +-inf and a few values."""
+    n = int(rng.integers(20, 121))
+    n_features = int(rng.integers(2, 9))
+    values = [0.0, -0.0, 1.0, -2.0, np.nan, np.inf, -np.inf]
+    X = rng.choice(values, size=(n, n_features), p=[0.3, 0.3, 0.1, 0.1, 0.08, 0.06, 0.06])
+    y = np.nan_to_num(X[:, 0], nan=0.5, posinf=3.0, neginf=-3.0) + rng.normal(size=n)
+    X_test = np.vstack([X[rng.permutation(n)[:20]], rng.choice(values, size=(10, n_features))])
+    return X, y, X_test
+
+
 def _tree_params(rng):
     return {
         "max_depth": [None, 1, 3, 8][int(rng.integers(0, 4))],
@@ -305,9 +330,9 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("seed", range(120))
-def test_tree_matches_reference(seed):
+def test_tree_matches_reference(seed, case=_case_data):
     rng = np.random.default_rng(seed)
-    X, y, X_test = _case_data(rng)
+    X, y, X_test = case(rng)
     params = _tree_params(rng)
     params["random_state"] = int(rng.integers(0, 1000))
     reference = _ReferenceTree(**params).fit(X, y)
@@ -319,9 +344,9 @@ def test_tree_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_forest_matches_reference(seed):
+def test_forest_matches_reference(seed, case=_case_data):
     rng = np.random.default_rng(1000 + seed)
-    X, y, X_test = _case_data(rng)
+    X, y, X_test = case(rng)
     params = _tree_params(rng)
     params.update(
         n_estimators=int(rng.integers(1, 13)),
@@ -338,9 +363,9 @@ def test_forest_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_boosting_matches_reference(seed):
+def test_boosting_matches_reference(seed, case=_case_data):
     rng = np.random.default_rng(2000 + seed)
-    X, y, X_test = _case_data(rng)
+    X, y, X_test = case(rng)
     params = {
         "n_estimators": int(rng.integers(1, 40)),
         "learning_rate": float(rng.choice([0.05, 0.1, 0.3])),
@@ -366,9 +391,30 @@ def test_boosting_matches_reference(seed):
         assert _same(model.predict(rows), expected[-1])
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_wide_tree_matches_reference(seed):
+    test_tree_matches_reference(3000 + seed, case=_wide_case)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_wide_forest_matches_reference(seed):
+    test_forest_matches_reference(3000 + seed, case=_wide_case)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_signed_zero_ties_among_non_finite_features_match_reference(seed):
+    """The kernel gathers each sorted feature through its stable argsort;
+    ties of 0.0 and -0.0 beside NaN and +-inf keep the reference's order."""
+    for check in (
+        test_tree_matches_reference, test_forest_matches_reference, test_boosting_matches_reference
+    ):
+        check(4000 + seed, case=_signed_zero_case)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_grouped_blocks_match_reference(seed, monkeypatch):
-    """Tiny block limits split every batch into many groups; outputs hold."""
+    """Tiny block limits split every batch into many groups, and cut each
+    tree's drawn features into tables of one to a few nodes; outputs hold."""
     import repro.ml.tree as tree_module
 
     monkeypatch.setattr(tree_module, "_PAD_SLACK", 0)
@@ -376,3 +422,87 @@ def test_grouped_blocks_match_reference(seed, monkeypatch):
     test_tree_matches_reference(seed)
     test_forest_matches_reference(seed)
     test_boosting_matches_reference(seed)
+    test_wide_forest_matches_reference(seed)
+
+
+# -- the feature-draw replay ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, k, seeds",
+    [
+        (2, 1, 60), (3, 2, 60), (7, 1, 60), (7, 6, 60), (12, 3, 60), (16, 4, 60),
+        (40, 6, 60), (40, 39, 20), (125, 11, 20), (1_000, 31, 20), (10_000, 1, 10),
+        (10_000, 100, 10), (10_000, 9_999, 2),
+        # Above 10,000: Floyd's algorithm while k <= n // 50, a tail shuffle past it.
+        (20_000, 400, 4), (20_000, 401, 4), (20_000, 1_000, 4),
+    ],
+)
+def test_choice_rows_replay_successive_choice_calls(n, k, seeds):
+    """Values and the generator's state afterwards both match ``choice``."""
+    for seed in range(seeds):
+        replayed = [np.random.default_rng([seed, tree]) for tree in range(3)]
+        called = [np.random.default_rng([seed, tree]) for tree in range(3)]
+        rows = _choice_rows(replayed, n, k, 4)
+        expected = [rng.choice(n, k, replace=False) for rng in called for _ in range(4)]
+        assert rows.shape == (12, k)
+        assert rows.tolist() == np.array(expected).tolist()
+        for after, reference in zip(replayed, called):
+            assert after.bit_generator.state == reference.bit_generator.state
+
+
+class _CountingGenerator:
+    """A generator that counts its ``choice`` and ``integers`` calls."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted if name in ("choice", "integers") else method
+
+
+@pytest.fixture
+def made_generators(monkeypatch):
+    """Every generator ``np.random.default_rng`` makes, counting its calls."""
+    made = []
+    real = np.random.default_rng
+
+    def default_rng(seed=None):
+        made.append(_CountingGenerator(real(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+def _wide_problem():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(150, 30))
+    return X, X[:, :6].sum(axis=1) + rng.normal(size=150)
+
+
+def test_forest_draws_each_tree_features_in_one_call(made_generators):
+    X, y = _wide_problem()
+    made_generators.clear()
+    forest = RandomForestRegressor(n_estimators=7, max_depth=6, random_state=3).fit(X, y)
+    per_tree = made_generators[1:]  # the first one seeds and bootstraps the trees
+    assert len(per_tree) == 7
+    assert [generator.calls for generator in per_tree] == [Counter(integers=1)] * 7
+    assert (forest.trees_.n_nodes > 15).all()
+
+
+def test_tree_draws_features_in_one_call_and_no_generator_without_draws(made_generators):
+    X, y = _wide_problem()
+    made_generators.clear()
+    tree = DecisionTreeRegressor(max_depth=6, max_features="log2", random_state=3).fit(X, y)
+    assert tree.n_nodes_ > 15
+    assert [generator.calls for generator in made_generators] == [Counter(integers=1)]
+    DecisionTreeRegressor(max_depth=6, random_state=3).fit(X, y)
+    assert len(made_generators) == 1
